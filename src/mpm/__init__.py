@@ -16,7 +16,7 @@ from .errors import (ChainError, ComputationError, DataError, PairingError,
 from .field import F2, ColumnEchelon, PrimeField, column_rank, is_prime
 from .fpm import parse_presentation, serialize_presentation
 from .grades import (INF, Extended, Grade, PExp, as_pexp, format_rat,
-                     grade_join, grade_leq, grade_meet, parse_pexp, rat,
+                     grade_join, grade_leq, parse_pexp, rat,
                      vec_pnorm, vec_pnorm_power)
 from .lines import (AdmissibleLine, LimitLine, barcode_along_line,
                     canonicalize_line, parse_line, push,
@@ -32,8 +32,7 @@ from .presentation import (Presentation, free_presentation, hilbert_dim,
 from .presdist import (BoundsReport, PairedPresentations, bounds,
                        chain_upper_bound, hilbert_spot_grid, label_distance,
                        label_distance_power, modules_agree, pad_and_pair)
-from .wasserstein import (Matching, WassersteinResult, brute_force_full,
-                          brute_force_wasserstein, matching_cost,
+from .wasserstein import (Matching, WassersteinResult, matching_cost,
                           matching_cost_power, wasserstein, wasserstein_full,
                           wasserstein_power)
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import DataError, ParseError
+from .fpm import _Lines
 from .grades import INF, Extended, format_rat, is_inf, rat
 
 Bar = tuple[Fraction, Extended]  # (birth, death), birth < death
@@ -71,13 +72,10 @@ class Barcode:
 def parse_barcode(text: str) -> Barcode:
     """Parse the ``.bc`` format: one ``<birth> <death|inf>`` pair per line."""
     bars = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _Lines(text).items:
         toks = line.split()
         if len(toks) != 2:
-            raise ParseError(f"expected '<birth> <death|inf>', got {raw!r}", lineno)
+            raise ParseError(f"expected '<birth> <death|inf>', got {line!r}", lineno)
         try:
             birth = rat(toks[0])
             death: Extended = INF if toks[1].lower() in ("inf", "infinity") else rat(toks[1])

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
+from .fpm import _keyword_int, _Lines
 from .grades import (Grade, format_grade, grade_leq, join_all, parse_grade,
                      rat, show_grade)
 from .presentation import Column, Presentation, labels
@@ -412,36 +413,20 @@ def lift_presentations(P_M: Presentation, P_N: Presentation):
 def parse_complex(text: str) -> FilteredComplex:
     """Parse the ``.cwf`` format: header lines then one line per cell,
     ``<id> <dim> <grade...> : <face-id> <coeff> ...``."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped))
-    if not rows or rows[0][1].split() != ["cwf", "1"]:
-        raise ParseError("expected 'cwf 1' header", rows[0][0] if rows else 1)
-    rows.pop(0)
-
-    def keyword(kw: str) -> int:
-        if not rows:
-            raise ParseError(f"missing '{kw}' line")
-        lineno, line = rows.pop(0)
-        toks = line.split()
-        if len(toks) != 2 or toks[0] != kw:
-            raise ParseError(f"expected '{kw} <int>', got {line!r}", lineno)
-        try:
-            return int(toks[1])
-        except ValueError as exc:
-            raise ParseError(f"bad integer {toks[1]!r}", lineno) from exc
-
-    q = keyword("field")
-    n_params = keyword("params")
+    lines = _Lines(text)
+    lineno, header = lines.next("'cwf 1' header")
+    if header.split() != ["cwf", "1"]:
+        raise ParseError(f"expected 'cwf 1' header, got {header!r}", lineno)
+    lineno, q = _keyword_int(lines, "field")
     try:
         field = PrimeField(q)
     except DataError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), lineno) from exc
+    _, n_params = _keyword_int(lines, "params")
     cells = []
     boundary = {}
-    for lineno, line in rows:
+    while not lines.done():
+        lineno, line = lines.next("a cell line")
         head, _, tail = line.partition(":")
         toks = head.split()
         if len(toks) != 2 + n_params:

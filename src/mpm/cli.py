@@ -16,7 +16,7 @@ from fractions import Fraction
 from .barcode import parse_barcode, serialize_barcode
 from .cellular import (homology_presentation, lift_presentations,
                        parse_complex, serialize_complex)
-from .errors import ComputationError, DataError
+from .errors import ComputationError, DataError, SubdivisionLimitError
 from .fixtures import (random_barcode, random_monotone_complex,
                        random_paired_presentations, random_presentation)
 from .fpm import parse_presentation, serialize_presentation
@@ -203,7 +203,7 @@ def _cmd_matchdist(args) -> int:
     B = parse_presentation(_read(args.module_b))
     try:
         report = approx_matching_distance(A, B, p, rat(args.eps), max_depth=args.max_depth)
-    except ComputationError as exc:
+    except SubdivisionLimitError as exc:
         report = exc.report
         payload = _report_json(report, args)
         payload["converged"] = False

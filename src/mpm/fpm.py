@@ -43,13 +43,14 @@ class _Lines:
         return self.pos >= len(self.items)
 
 
-def _keyword_int(lines: _Lines, keyword: str) -> int:
+def _keyword_int(lines: _Lines, keyword: str) -> tuple[int, int]:
+    """(line number, value) of a '<keyword> <int>' line."""
     lineno, line = lines.next(f"'{keyword} <int>'")
     toks = line.split()
     if len(toks) != 2 or toks[0] != keyword:
         raise ParseError(f"expected '{keyword} <int>', got {line!r}", lineno)
     try:
-        return int(toks[1])
+        return lineno, int(toks[1])
     except ValueError as exc:
         raise ParseError(f"bad integer {toks[1]!r}", lineno) from exc
 
@@ -60,16 +61,16 @@ def parse_presentation(text: str) -> Presentation:
     lineno, header = lines.next("'fpm 1' header")
     if header.split() != ["fpm", "1"]:
         raise ParseError(f"expected 'fpm 1' header, got {header!r}", lineno)
-    q = _keyword_int(lines, "field")
+    lineno, q = _keyword_int(lines, "field")
     try:
         fld = PrimeField(q)
     except DataError as exc:
         raise ParseError(str(exc), lineno) from exc
-    n_params = _keyword_int(lines, "params")
+    lineno, n_params = _keyword_int(lines, "params")
     if n_params not in (1, 2):
         raise ParseError(f"params must be 1 or 2, got {n_params}", lineno)
 
-    n_rows = _keyword_int(lines, "rows")
+    _, n_rows = _keyword_int(lines, "rows")
     row_labels = []
     for _ in range(n_rows):
         lineno, line = lines.next("a row label")
@@ -78,7 +79,7 @@ def parse_presentation(text: str) -> Presentation:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from exc
 
-    n_cols = _keyword_int(lines, "cols")
+    _, n_cols = _keyword_int(lines, "cols")
     col_labels = []
     columns = []
     for _ in range(n_cols):

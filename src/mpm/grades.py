@@ -202,10 +202,6 @@ def grade_join(a: Grade, b: Grade) -> Grade:
     return tuple(max(x, y) for x, y in zip(a, b, strict=True))
 
 
-def grade_meet(a: Grade, b: Grade) -> Grade:
-    return tuple(min(x, y) for x, y in zip(a, b, strict=True))
-
-
 def join_all(grades: Iterable[Grade]) -> Grade:
     it = iter(grades)
     out = next(it)
@@ -218,21 +214,13 @@ def grade_sub(a: Grade, b: Grade) -> Grade:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def grade_pnorm(delta: Grade, p: PExp) -> Extended:
-    return vec_pnorm(delta, p)
-
-
-def grade_pnorm_power(delta: Grade, p: PExp) -> Extended:
-    return vec_pnorm_power(delta, p)
-
-
 def labels_pnorm_power(first: Sequence[Grade], second: Sequence[Grade], p: PExp) -> Extended:
     """Sum over label pairs of ||a - b||_p^p (finite integral p stays exact)."""
     if len(first) != len(second):
         raise ValueError("label vectors differ in length")
     total: Extended = Fraction(0)
     for a, b in zip(first, second):
-        total = total + grade_pnorm_power(grade_sub(a, b), p)
+        total = total + vec_pnorm_power(grade_sub(a, b), p)
     return total
 
 

@@ -11,42 +11,29 @@ all admissible lines.
 In each sign quadrant of the chart the push of a fixed grade is the max
 of two expressions that are affine in each parameter separately (one of
 them constant or single-variable), so its extrema over a box sit on the
-corners of the quadrant-split sub-boxes.  label_deviation evaluates
-those corners exactly; the branch-and-bound loop uses a float twin of
-the same formulas with a small inflation (~1e-9) on every upper-bound
-term, and the final lower bound is re-evaluated in exact arithmetic at
-the best line found (p in {1, inf}).
+corners of the quadrant-split sub-boxes.  The push, the box deviation
+and the per-line Wasserstein distance are each written once, generic in
+the number type: on Fractions (push_param, label_deviation, local_bound,
+wasserstein) they are exact, and the branch-and-bound loop runs the
+same code on floats with a small inflation (~1e-9) on every upper-bound
+term.  The final lower bound is re-evaluated in exact arithmetic at the
+best line found (p in {1, inf}).
 """
 from __future__ import annotations
 
 import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DataError, SubdivisionLimitError
+from .errors import ComputationError, DataError, SubdivisionLimitError
 from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, pexp_integral,
                      rat, vec_pnorm)
 from .lines import AdmissibleLine, Line, LimitLine, barcode_along_line
 from .onepar import barcode_pairs
 from .presentation import Presentation, labels
-from .wasserstein import bottleneck_assignment, min_cost_assignment, wasserstein
-
-
-def parallel_map(fn, items: Sequence):
-    """Map with an optional thread pool capped by MPM_THREADS (default 1)."""
-    items = list(items)
-    try:
-        workers = int(os.environ.get("MPM_THREADS", "1") or "1")
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .wasserstein import bar_distance, wasserstein
 
 
 # ---------------------------------------------------------------------------
@@ -66,32 +53,44 @@ class LineParam:
             raise DataError(f"mu = {self.mu} outside [-1, 1]")
 
 
-def _base_point(s: Fraction) -> Grade:
-    return (s, Fraction(0)) if s >= 0 else (Fraction(0), -s)
+def _chart(s, mu, zero, one):
+    """Coefficients (kx, ky, wx, wy) of the chart line (s, mu).
+
+    The line has base point w = (wx, wy) and direction (1/kx, 1/ky), so
+    it pushes a label a to max(kx (ax - wx), ky (ay - wy)); kx or ky is 0
+    on the limit lines |mu| = 1.  zero and one carry the number type, so
+    Fractions stay exact and floats meet no ints in the per-label loop.
+    """
+    if s >= 0:
+        wx, wy = s, zero
+    else:
+        wx, wy = zero, -s
+    if mu >= 0:
+        return one, one - mu, wx, wy
+    return one + mu, one, wx, wy
+
+
+def _pushes(label_vec, charts) -> list:
+    """Pushes of 2-D labels along chart lines, label by label: entry
+    i * len(charts) + j is label i pushed along chart j."""
+    # max(x, y) written out: the builtin call would dominate this loop
+    return [y if (y := ky * (ay - wy)) > (x := kx * (ax - wx)) else x
+            for ax, ay in label_vec for kx, ky, wx, wy in charts]
 
 
 def line_of_param(q: LineParam) -> Line:
     """The admissible line of a chart point; |mu| = 1 gives the limit line."""
-    w = _base_point(q.s)
-    if q.mu == 1:
-        return LimitLine(0, w)
-    if q.mu == -1:
-        return LimitLine(1, w)
-    if q.mu >= 0:
-        return AdmissibleLine((Fraction(1), 1 / (1 - q.mu)), w)
-    return AdmissibleLine((1 / (1 + q.mu), Fraction(1)), w)
+    kx, ky, wx, wy = _chart(q.s, q.mu, Fraction(0), Fraction(1))
+    if ky == 0:
+        return LimitLine(0, (wx, wy))
+    if kx == 0:
+        return LimitLine(1, (wx, wy))
+    return AdmissibleLine((1 / kx, 1 / ky), (wx, wy))
 
 
 def push_param(a: Grade, s: Fraction, mu: Fraction) -> Fraction:
     """Exact push of a grade along the chart line (valid on the boundary)."""
-    ax, ay = a
-    if s >= 0:
-        wx, wy = s, Fraction(0)
-    else:
-        wx, wy = Fraction(0), -s
-    if mu >= 0:
-        return max(ax - wx, (1 - mu) * (ay - wy))
-    return max((1 + mu) * (ax - wx), ay - wy)
+    return _pushes([a], [_chart(s, mu, Fraction(0), Fraction(1))])[0]
 
 
 @dataclass(frozen=True)
@@ -116,23 +115,30 @@ class ParamBox:
         return LineParam((self.s_lo + self.s_hi) / 2, (self.mu_lo + self.mu_hi) / 2)
 
 
-def label_deviation(a: Grade, box: ParamBox) -> Fraction:
-    """Exact sup over the box of |push - push at the box center|.
+def _deviations(label_vec, sl, sh, ml, mh) -> list:
+    """Per label, the sup over the box [sl, sh] x [ml, mh] of |push - push
+    at the box center|.
 
     Extrema over each sign quadrant sit on sub-box corners, so the grid
-    of boundary and zero cuts is evaluated exactly.
+    of boundary and zero cuts is evaluated.
     """
+    zero = type(sl)(0)
+    one = zero + 1
+    s_cuts = (sl, zero, sh) if sl < zero < sh else (sl, sh)
+    mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
+    charts = [_chart((sl + sh) / 2, (ml + mh) / 2, zero, one)]
+    charts += [_chart(s, mu, zero, one) for s in s_cuts for mu in mu_cuts]
+    k = len(charts)
+    pushes = _pushes(label_vec, charts)
+    rows = (pushes[i:i + k] for i in range(0, len(pushes), k))
+    # row[0] is the push at the box center
+    return [max(max(row) - row[0], row[0] - min(row)) for row in rows]
+
+
+def label_deviation(a: Grade, box: ParamBox) -> Fraction:
+    """Exact sup over the box of |push - push at the box center|."""
     a = (rat(a[0]), rat(a[1]))
-    center = box.center
-    pc = push_param(a, center.s, center.mu)
-    s_cuts = {box.s_lo, box.s_hi}
-    if box.s_lo < 0 < box.s_hi:
-        s_cuts.add(Fraction(0))
-    mu_cuts = {box.mu_lo, box.mu_hi}
-    if box.mu_lo < 0 < box.mu_hi:
-        mu_cuts.add(Fraction(0))
-    vals = [push_param(a, s, mu) for s in s_cuts for mu in mu_cuts]
-    return max(max(vals) - pc, pc - min(vals))
+    return _deviations([a], box.s_lo, box.s_hi, box.mu_lo, box.mu_hi)[0]
 
 
 def local_bound(label_vec: Sequence[Grade], box: ParamBox, p: PExp) -> Extended:
@@ -152,47 +158,19 @@ def sampled_lower_bound(P_M: Presentation, P_N: Presentation, p: PExp,
                         lines: Sequence[Line]) -> Extended:
     """Max of the exact per-line Wasserstein distances (a valid lower bound)."""
     p = as_pexp(p)
-
-    def value(line: Line) -> Extended:
-        return wasserstein(barcode_along_line(P_M, line),
-                           barcode_along_line(P_N, line), p)
-
     best: Extended = Fraction(0)
-    for v in parallel_map(value, lines):
+    for line in lines:
+        v = wasserstein(barcode_along_line(P_M, line),
+                        barcode_along_line(P_N, line), p)
         if v > best:
             best = v
     return best
 
 
 # ---------------------------------------------------------------------------
-# float fast path
+# float label data for the branch-and-bound loop
 
 _INFLATE = 1e-9
-
-
-def _push_f(ax: float, ay: float, s: float, mu: float) -> float:
-    if s >= 0.0:
-        wx, wy = s, 0.0
-    else:
-        wx, wy = 0.0, -s
-    if mu >= 0.0:
-        return max(ax - wx, (1.0 - mu) * (ay - wy))
-    return max((1.0 + mu) * (ax - wx), ay - wy)
-
-
-def _deviation_f(ax: float, ay: float, sl, sh, ml, mh) -> float:
-    pc = _push_f(ax, ay, (sl + sh) / 2, (ml + mh) / 2)
-    s_cuts = (sl, sh) if not sl < 0.0 < sh else (sl, 0.0, sh)
-    mu_cuts = (ml, mh) if not ml < 0.0 < mh else (ml, 0.0, mh)
-    hi = lo = pc
-    for s in s_cuts:
-        for mu in mu_cuts:
-            v = _push_f(ax, ay, s, mu)
-            if v > hi:
-                hi = v
-            if v < lo:
-                lo = v
-    return max(hi - pc, pc - lo)
 
 
 class _ModuleData:
@@ -206,62 +184,20 @@ class _ModuleData:
         self.all = self.rows + self.cols
 
     def bars(self, s: float, mu: float):
-        row_vals = [_push_f(x, y, s, mu) for x, y in self.rows]
-        col_vals = [_push_f(x, y, s, mu) for x, y in self.cols]
-        pairs, essential = barcode_pairs(row_vals, col_vals, self.columns, self.field)
-        finite = [(b, d) for b, d in pairs if d > b]
-        return finite, essential
+        """Finite bars and sorted essential births along the chart line."""
+        charts = [_chart(s, mu, 0.0, 1.0)]
+        pairs, essential = barcode_pairs(_pushes(self.rows, charts),
+                                         _pushes(self.cols, charts),
+                                         self.columns, self.field)
+        return [(b, d) for b, d in pairs if d > b], sorted(essential)
 
     def bound(self, sl, sh, ml, mh, pf: Optional[float]) -> float:
-        devs = [_deviation_f(x, y, sl, sh, ml, mh) for x, y in self.all]
+        devs = _deviations(self.all, sl, sh, ml, mh)
         if pf is None:
             return max(devs, default=0.0)
         if pf == 1.0:
             return sum(devs)
         return sum(d ** pf for d in devs) ** (1.0 / pf)
-
-
-def _dw_f(finB, essB, finC, essC, pf: Optional[float]) -> float:
-    """Float p-Wasserstein between bar lists; pf None means p = inf."""
-    if len(essB) != len(essC):
-        return INF
-    essB, essC = sorted(essB), sorted(essC)
-    if pf is None:
-        ess = max((abs(b - c) for b, c in zip(essB, essC)), default=0.0)
-        pair = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in finC] for b in finB]
-        diag_l = [(b[1] - b[0]) / 2 for b in finB]
-        diag_r = [(c[1] - c[0]) / 2 for c in finC]
-        fin, _ = bottleneck_assignment(pair, diag_l, diag_r)
-        return max(ess, float(fin))
-    one = pf == 1.0
-    if one:
-        ess = sum(abs(b - c) for b, c in zip(essB, essC))
-    else:
-        ess = sum(abs(b - c) ** pf for b, c in zip(essB, essC))
-    m, n = len(finB), len(finC)
-    size = m + n
-    if size == 0:
-        return ess if one else ess ** (1.0 / pf)
-    if one:
-        diag_c = [abs(c[1] - c[0]) for c in finC]
-    else:
-        diag_c = [2.0 * (abs(c[1] - c[0]) / 2) ** pf for c in finC]
-    cost = [[0.0] * size for _ in range(size)]
-    for i, b in enumerate(finB):
-        if one:
-            dl = abs(b[1] - b[0])
-            row = [abs(b[0] - c[0]) + abs(b[1] - c[1]) for c in finC]
-        else:
-            dl = 2.0 * (abs(b[1] - b[0]) / 2) ** pf
-            row = [abs(b[0] - c[0]) ** pf + abs(b[1] - c[1]) ** pf for c in finC]
-        row.extend(dl for _ in range(n, size))
-        cost[i] = row
-    for i in range(m, size):
-        for j in range(n):
-            cost[i][j] = diag_c[j]
-    assign = min_cost_assignment(cost)
-    total = ess + sum(cost[i][assign[i]] for i in range(size))
-    return total if one else total ** (1.0 / pf)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +276,7 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     pf = None if is_inf(p) else float(p)
 
     def line_value(s: float, mu: float) -> float:
-        finB, essB = M.bars(s, mu)
-        finC, essC = N.bars(s, mu)
-        return _dw_f(finB, essB, finC, essC, pf)
+        return bar_distance(*M.bars(s, mu), *N.bars(s, mu), p, 0.0)[0]
 
     def box_bound(sl, sh, ml, mh) -> float:
         b = M.bound(sl, sh, ml, mh, pf) + N.bound(sl, sh, ml, mh, pf)
@@ -372,7 +306,9 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         upper_out: Extended = max(upper_f, float(exact_lower))
         report = DistanceReport(p, eps, exact_lower, upper_out, evaluated,
                                 argmax, translation, converged, max_depth_seen)
-        assert float(report.lower) <= float(report.upper) + 1e-9
+        if not float(report.lower) <= float(report.upper) + 1e-9:
+            raise ComputationError(
+                f"lower bound {float(report.lower)} exceeds upper bound {float(report.upper)}")
         return report
 
     def split_candidates(box):
@@ -419,8 +355,8 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
             continue
         children, bnds = split
         centers = [((a + b) / 2, (c + d) / 2) for a, b, c, d in children]
-        values = parallel_map(lambda sm: line_value(*sm), centers)
-        for child, (cs, cmu), val, bnd in zip(children, centers, values, bnds):
+        for child, (cs, cmu), bnd in zip(children, centers, bnds):
+            val = line_value(cs, cmu)
             evaluated += 1
             if val > lower:
                 lower = val

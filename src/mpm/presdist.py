@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import ChainError, DataError, PairingError, SubdivisionLimitError
+from .errors import (ChainError, ComputationError, DataError, PairingError,
+                     SubdivisionLimitError)
 from .grades import (Extended, Grade, PExp, as_pexp, is_inf, labels_pnorm,
                      labels_pnorm_power, pexp_integral)
 from .matchdist import DistanceReport, approx_matching_distance
@@ -255,6 +256,6 @@ def bounds(P_M: Presentation, P_N: Presentation, p: PExp, epsilon) -> BoundsRepo
     except PairingError as exc:
         upper = float("inf")
         notes.append(f"upper: no pairing found ({exc}); bound is infinite")
-    if not is_inf(upper):
-        assert float(lower) <= float(upper) + float(epsilon) + 1e-9
+    if not is_inf(upper) and not float(lower) <= float(upper) + float(epsilon) + 1e-9:
+        raise ComputationError(f"lower bound {float(lower)} exceeds upper bound {float(upper)}")
     return BoundsReport(p, lower, upper, tuple(notes), report)

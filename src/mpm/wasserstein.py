@@ -12,7 +12,9 @@ p >= 1 (and for the bottleneck).  The finite bars go through a
 min-cost assignment on an augmented square matrix (one diagonal ghost
 per bar, ghosts mutually free), solved by shortest augmenting paths in
 exact rational arithmetic; for p = inf a threshold search with a
-maximum bipartite matching is used instead.
+maximum bipartite matching is used instead.  bar_distance holds these
+steps once for any number type; the matching-distance search runs it on
+floats.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .barcode import Bar, Barcode
-from .errors import DataError
+from .errors import ComputationError, DataError
 from .grades import (INF, Extended, PExp, abs_power, as_pexp, ext_abs_diff,
                      is_inf, pexp_integral, pth_root)
 
@@ -177,7 +179,7 @@ def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
-                elif not is_inf(minv[j]):
+                else:
                     minv[j] -= delta
             j0 = j1
             if match[j0] == 0:
@@ -244,11 +246,14 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
 
     pair_cost: m x n matrix; diag_left/diag_right: diagonal costs.
     Returns (value, pairs) where pairs matches left to right indices.
+    The value is one of the given costs, so it keeps their number type;
+    with no bars at all it is the int 0.
     """
     m, n = len(diag_left), len(diag_right)
     if m == 0 and n == 0:
-        return Fraction(0), []
-    candidates = sorted(set([Fraction(0)] + list(diag_left) + list(diag_right) +
+        return 0, []
+    # the optimum is the largest term of some matching, hence a given cost
+    candidates = sorted(set(list(diag_left) + list(diag_right) +
                             [pair_cost[i][j] for i in range(m) for j in range(n)]))
 
     def matching_at(thr):
@@ -276,7 +281,8 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
             hi = mid - 1
         else:
             lo = mid + 1
-    assert best is not None  # the largest candidate is always feasible
+    if best is None:
+        raise ComputationError("no perfect matching at the largest threshold")
     value, ml = best
     pairs = [(i, ml[i]) for i in range(m) if ml[i] < n]
     return value, pairs
@@ -286,17 +292,64 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
 # the distance
 
 def _split(B: Barcode):
+    """Indices of the finite bars, and of the essential bars by birth."""
     fin, ess = [], []
     for idx, bar in enumerate(B.bars):
         (ess if is_inf(bar[1]) else fin).append(idx)
-    return fin, ess
+    return fin, sorted(ess, key=lambda i: B[i][0])
 
 
-def _essential_pairs(B: Barcode, C: Barcode, ess_b, ess_c):
-    """Sorted-birth pairing; optimal on a line for every p and for p = inf."""
-    bs = sorted(ess_b, key=lambda i: B[i][0])
-    cs = sorted(ess_c, key=lambda j: C[j][0])
-    return list(zip(bs, cs))
+def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
+    """p-Wasserstein distance between two barcodes given as plain lists.
+
+    fin_b and fin_c hold finite bars (birth, death); ess_b and ess_c
+    hold the births of the essential bars in ascending order, and the
+    sorted pairing matches them.  Every number has the type of ``zero``:
+    Fractions give exact values for p in {1, inf} and exact powers for
+    integral p, floats give the float distance.  Returns (value, power,
+    pairs): power is the sum of p-th powers (None for p = inf) and pairs
+    lists the matched (i, j) indices into fin_b and fin_c.
+    """
+    if len(ess_b) != len(ess_c):
+        return INF, None if is_inf(p) else INF, []
+    if is_inf(p):
+        ess = zero
+        for b, c in zip(ess_b, ess_c):
+            ess = max(ess, abs(b - c))
+        pair_cost = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in fin_c]
+                     for b in fin_b]
+        diag_l = [(b[1] - b[0]) / 2 for b in fin_b]
+        diag_r = [(c[1] - c[0]) / 2 for c in fin_c]
+        fin, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
+        return max(ess, fin), None, pairs
+
+    e = int(p) if pexp_integral(p) else float(p)
+    pzero = zero ** e  # a Fraction to a float power is a float
+
+    def diag(bar):
+        return 2 * ((bar[1] - bar[0]) / 2) ** e
+
+    ess = pzero
+    for b, c in zip(ess_b, ess_c):
+        ess = ess + abs(b - c) ** e
+    # augmented square matrix: one diagonal ghost per bar, ghosts mutually free
+    m, n = len(fin_b), len(fin_c)
+    cost = [[abs(b[0] - c[0]) ** e + abs(b[1] - c[1]) ** e for c in fin_c] + [diag(b)] * m
+            for b in fin_b]
+    ghost = [diag(c) for c in fin_c] + [pzero] * m
+    cost += [ghost] * n  # one shared row: the solver only reads cost
+    assign = min_cost_assignment(cost) if cost else []
+    fin = pzero
+    for i, j in enumerate(assign):
+        fin = fin + cost[i][j]
+    power = ess + fin
+    if p == 1:
+        value = power
+    elif isinstance(power, Fraction):
+        value = pth_root(power, p)
+    else:
+        value = power ** (1.0 / float(p))
+    return value, power, [(i, j) for i, j in enumerate(assign) if i < m and j < n]
 
 
 def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
@@ -304,61 +357,13 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     p = as_pexp(p)
     fin_b, ess_b = _split(B)
     fin_c, ess_c = _split(C)
-    if len(ess_b) != len(ess_c):
-        return WassersteinResult(p, INF, INF if not is_inf(p) else None,
-                                 Matching(frozenset()))
-    ess_pairs = _essential_pairs(B, C, ess_b, ess_c)
-
-    if is_inf(p):
-        ess_val: Extended = Fraction(0)
-        for i, j in ess_pairs:
-            ess_val = max(ess_val, abs(B[i][0] - C[j][0]))
-        pair_cost = [[_pair_inf(B[i], C[j]) for j in fin_c] for i in fin_b]
-        diag_l = [_diag_inf(B[i]) for i in fin_b]
-        diag_r = [_diag_inf(C[j]) for j in fin_c]
-        fin_val, fin_pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
-        pairs = [(fin_b[i], fin_c[j]) for i, j in fin_pairs]
-        value = max(ess_val, fin_val)
-        return WassersteinResult(p, value, None,
-                                 Matching(frozenset(pairs + ess_pairs)))
-
-    exact = pexp_integral(p)
-    ess_power: Extended = Fraction(0)
-    for i, j in ess_pairs:
-        ess_power = ess_power + abs_power(B[i][0] - C[j][0], p)
-
-    m, n = len(fin_b), len(fin_c)
-    size = m + n
-    zero = Fraction(0) if exact else 0.0
-
-    def pw(x: Extended) -> Extended:
-        return x if exact else float(x)
-
-    diag_c = [pw(_diag_power(C[j], p)) for j in fin_c]
-    cost = [[zero] * size for _ in range(size)]
-    for a in range(m):
-        dl = pw(_diag_power(B[fin_b[a]], p))
-        for b in range(n):
-            cost[a][b] = pw(_pair_power(B[fin_b[a]], C[fin_c[b]], p))
-        for b in range(n, size):
-            cost[a][b] = dl
-    for a in range(m, size):
-        for b in range(n):
-            cost[a][b] = diag_c[b]
-    row_to_col = min_cost_assignment(cost)
-    fin_power: Extended = zero
-    pairs = list(ess_pairs)
-    for a in range(size):
-        b = row_to_col[a]
-        fin_power = fin_power + cost[a][b]
-        if a < m and b < n:
-            pairs.append((fin_b[a], fin_c[b]))
-    power = ess_power + fin_power
-    if p == 1:
-        value: Extended = power
-    else:
-        value = pth_root(power, p) if exact else float(power) ** (1.0 / float(p))
-    return WassersteinResult(p, value, power if exact else None,
+    value, power, pairs = bar_distance(
+        [B[i] for i in fin_b], [B[i][0] for i in ess_b],
+        [C[j] for j in fin_c], [C[j][0] for j in ess_c], p, Fraction(0))
+    if is_inf(value):
+        return WassersteinResult(p, INF, power, Matching(frozenset()))
+    pairs = [(fin_b[i], fin_c[j]) for i, j in pairs] + list(zip(ess_b, ess_c))
+    return WassersteinResult(p, value, power if pexp_integral(p) else None,
                              Matching(frozenset(pairs)))
 
 
@@ -374,72 +379,3 @@ def wasserstein_power(B: Barcode, C: Barcode, p: PExp) -> Extended:
         raise DataError("wasserstein_power requires a finite integral p")
     res = wasserstein_full(B, C, p)
     return res.power
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
-    """Exhaustive minimum over all matchings; instances of total size <= 12."""
-    p = as_pexp(p)
-    if len(B) + len(C) > 12:
-        raise DataError("brute force limited to |B| + |C| <= 12 bars")
-    nb, nc = len(B), len(C)
-    use_max = is_inf(p)
-
-    diag_b = [_diag_inf(B[i]) if use_max else _diag_power(B[i], p) for i in range(nb)]
-    diag_c = [_diag_inf(C[j]) if use_max else _diag_power(C[j], p) for j in range(nc)]
-
-    best: dict = {"val": INF, "pairs": frozenset()}
-
-    def combine(acc, term):
-        return max(acc, term) if use_max else acc + term
-
-    def leaf_tail(used_c):
-        acc: Extended = Fraction(0)
-        for j in range(nc):
-            if j not in used_c:
-                if is_inf(diag_c[j]):
-                    return INF
-                acc = combine(acc, diag_c[j])
-        return acc
-
-    def rec(i: int, used_c: set, acc: Extended, pairs: list):
-        if acc >= best["val"]:
-            return
-        if i == nb:
-            total = combine(acc, leaf_tail(used_c))
-            if total < best["val"]:
-                best["val"] = total
-                best["pairs"] = frozenset(pairs)
-            return
-        # leave B[i] unmatched
-        if not is_inf(diag_b[i]):
-            rec(i + 1, used_c, combine(acc, diag_b[i]), pairs)
-        # or match it to any unused bar of C
-        for j in range(nc):
-            if j in used_c:
-                continue
-            term = _pair_inf(B[i], C[j]) if use_max else _pair_power(B[i], C[j], p)
-            if is_inf(term):
-                continue
-            used_c.add(j)
-            pairs.append((i, j))
-            rec(i + 1, used_c, combine(acc, term), pairs)
-            pairs.pop()
-            used_c.remove(j)
-
-    rec(0, set(), Fraction(0), [])
-    val = best["val"]
-    if is_inf(val):
-        return WassersteinResult(p, INF, INF if not use_max else None,
-                                 Matching(frozenset()))
-    if use_max:
-        return WassersteinResult(p, val, None, Matching(best["pairs"]))
-    value = val if p == 1 else pth_root(val, p)
-    return WassersteinResult(p, value, val if pexp_integral(p) else None,
-                             Matching(best["pairs"]))
-
-
-def brute_force_wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:
-    return brute_force_full(B, C, p).value

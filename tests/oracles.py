@@ -1,17 +1,22 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive: dense row reduction over F_q,
-dense nullspace dimensions, and brute-force sampling of line charts in
-scaled integer arithmetic.  None of it shares code with the package's
-sparse/echelon machinery.
+dense nullspace dimensions, brute-force sampling of line charts in
+scaled integer arithmetic, and an exhaustive search over all matchings
+of two barcodes.  None of it shares code with the package's
+sparse/echelon machinery or its assignment solvers; the matching search
+reuses only the per-bar cost terms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from mpm import Presentation, grade_leq, labels
+from mpm import (INF, Barcode, DataError, Extended, Matching, PExp, Presentation,
+                 WassersteinResult, as_pexp, grade_leq, labels)
+from mpm.grades import is_inf, pexp_integral, pth_root
 from mpm.matchdist import ParamBox
+from mpm.wasserstein import _diag_inf, _diag_power, _pair_inf, _pair_power
 
 
 def dense_rank(rows: list[list[int]], q: int) -> int:
@@ -162,3 +167,69 @@ def label_grid(P: Presentation, Q: Presentation, per_axis: int = 6):
 
     rec(0, [])
     return out
+
+
+def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
+    """Exhaustive minimum over all matchings; instances of total size <= 12."""
+    p = as_pexp(p)
+    if len(B) + len(C) > 12:
+        raise DataError("brute force limited to |B| + |C| <= 12 bars")
+    nb, nc = len(B), len(C)
+    use_max = is_inf(p)
+
+    diag_b = [_diag_inf(B[i]) if use_max else _diag_power(B[i], p) for i in range(nb)]
+    diag_c = [_diag_inf(C[j]) if use_max else _diag_power(C[j], p) for j in range(nc)]
+
+    best: dict = {"val": INF, "pairs": frozenset()}
+
+    def combine(acc, term):
+        return max(acc, term) if use_max else acc + term
+
+    def leaf_tail(used_c):
+        acc: Extended = Fraction(0)
+        for j in range(nc):
+            if j not in used_c:
+                if is_inf(diag_c[j]):
+                    return INF
+                acc = combine(acc, diag_c[j])
+        return acc
+
+    def rec(i: int, used_c: set, acc: Extended, pairs: list):
+        if acc >= best["val"]:
+            return
+        if i == nb:
+            total = combine(acc, leaf_tail(used_c))
+            if total < best["val"]:
+                best["val"] = total
+                best["pairs"] = frozenset(pairs)
+            return
+        # leave B[i] unmatched
+        if not is_inf(diag_b[i]):
+            rec(i + 1, used_c, combine(acc, diag_b[i]), pairs)
+        # or match it to any unused bar of C
+        for j in range(nc):
+            if j in used_c:
+                continue
+            term = _pair_inf(B[i], C[j]) if use_max else _pair_power(B[i], C[j], p)
+            if is_inf(term):
+                continue
+            used_c.add(j)
+            pairs.append((i, j))
+            rec(i + 1, used_c, combine(acc, term), pairs)
+            pairs.pop()
+            used_c.remove(j)
+
+    rec(0, set(), Fraction(0), [])
+    val = best["val"]
+    if is_inf(val):
+        return WassersteinResult(p, INF, INF if not use_max else None,
+                                 Matching(frozenset()))
+    if use_max:
+        return WassersteinResult(p, val, None, Matching(best["pairs"]))
+    value = val if p == 1 else pth_root(val, p)
+    return WassersteinResult(p, value, val if pexp_integral(p) else None,
+                             Matching(best["pairs"]))
+
+
+def brute_force_wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:
+    return brute_force_full(B, C, p).value

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 from mpm import (AdmissibleLine, PairedPresentations, PrimeField,
                  approx_matching_distance, barcode_along_line, barcode_of,
-                 brute_force_full, brute_force_wasserstein,
                  chain_upper_bound, grade_injections,
                  hilbert_dim, homology_presentation, kernel_basis,
                  label_distance, label_distance_power, labels,
@@ -26,7 +25,8 @@ from mpm.fixtures import (random_barcode, random_monotone_complex,
                           random_paired_presentations, perturbed_refiltration)
 
 from conftest import q_free
-from oracles import box_sample_max_power, dense_nullity_at, span_dim_at
+from oracles import (box_sample_max_power, brute_force_full, brute_force_wasserstein,
+                     dense_nullity_at, span_dim_at)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)

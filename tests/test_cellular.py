@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (DataError, FilteredComplex, FreeMorphism,
+from mpm import (DataError, FilteredComplex, FreeMorphism, ParseError,
                  PrimeField, boundary_morphism,
                  grade_injections, hilbert_dim, homology_presentation,
                  kernel_basis, lift_presentations, parse_complex,
@@ -247,6 +247,27 @@ def test_simplicial_input_and_cwf_roundtrip():
     # homology pipeline runs end to end
     for j in (0, 1):
         homology_presentation(X, j)
+
+
+def test_cwf_truncated_header_reports_line():
+    with pytest.raises(ParseError, match="expected 'params <int>'") as info:
+        parse_complex("cwf 1\n# a comment\nfield 2\n")
+    assert info.value.line == 4
+    with pytest.raises(ParseError, match="'cwf 1' header") as info:
+        parse_complex("# only a comment\n")
+    assert info.value.line == 1
+
+
+def test_cwf_bad_field_and_params_lines():
+    with pytest.raises(ParseError, match="expected 'field <int>'") as info:
+        parse_complex("cwf 1\nfeld 2\nparams 2\n")
+    assert info.value.line == 2
+    with pytest.raises(ParseError, match="bad integer 'two'") as info:
+        parse_complex("cwf 1\nfield 2\n\nparams two\n")
+    assert info.value.line == 4
+    with pytest.raises(ParseError, match="not prime") as info:
+        parse_complex("cwf 1\nfield 4\nparams 2\n")
+    assert info.value.line == 2
 
 
 def test_from_simplices_requires_faces():

@@ -1,11 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpm
 from mpm import (DataError, ParseError, PrimeField, Presentation,
                  free_presentation, grade_join, grade_leq, hilbert_dim,
                  labels, parse_presentation, rank_invariant, rat,
@@ -95,6 +98,10 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows 1\nx y\ncols 0\n")
     with pytest.raises(ParseError, match="outside the field"):
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols 1\n1 1 : 0 2\n")
+    with pytest.raises(ParseError, match="line 2: field order 4 is not prime"):
+        parse_presentation("fpm 1\nfield 4\nparams 2\nrows 0\ncols 0\n")
+    with pytest.raises(ParseError, match="line 3: params must be 1 or 2"):
+        parse_presentation("fpm 1\nfield 2\nparams 3\nrows 0\ncols 0\n")
 
 
 def test_roundtrip_identity():
@@ -185,3 +192,13 @@ def test_pnorm_power_consistency(vals, p):
         assert norm == power
     else:
         assert abs(float(norm) ** p - float(power)) <= 1e-9 * (1 + float(power))
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts; invariants must raise errors instead
+    src = Path(mpm.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -10,12 +10,18 @@ from mpm import (AdmissibleLine, INF, LimitLine, LineParam,
                  line_of_param, local_bound, push, push_param,
                  sampled_lower_bound, wasserstein)
 from mpm.field import PrimeField
-from mpm.matchdist import _ModuleData, _dw_f
+from mpm.matchdist import _ModuleData
 from mpm.presentation import Presentation, labels
+from mpm.wasserstein import bar_distance
 
 from oracles import box_sample_max_power
 
 F2 = PrimeField(2)
+
+
+def float_line_value(M, N, s, mu, p):
+    """The branch-and-bound's per-line distance: the shared code on floats."""
+    return bar_distance(*M.bars(s, mu), *N.bars(s, mu), p, 0.0)[0]
 
 
 def test_line_of_param_examples():
@@ -107,6 +113,24 @@ def test_label_deviation_dominates_dense_sampling():
                     else bound ** 2 >= float(sampled) - 1e-9
 
 
+def test_float_box_bound_equals_exact_bound_on_dyadic_inputs():
+    # dyadic labels and box corners keep every float operation exact, so
+    # the branch-and-bound's box bound must equal the exact local bound
+    rng = random.Random(137)
+    for _ in range(200):
+        labs = [(F(rng.randrange(0, 25), 4), F(rng.randrange(0, 25), 4))
+                for _ in range(rng.randint(1, 5))]
+        M = _ModuleData(free_presentation(labs, F2), F(0), F(0))
+        sl = F(rng.randrange(-8, 8), 2)
+        sh = sl + F(rng.randrange(0, 5), 2)
+        ml = F(rng.randrange(-8, 8), 8)
+        mh = min(F(1), ml + F(rng.randrange(0, 9), 8))
+        box = ParamBox(sl, sh, ml, mh)
+        for p, pf in ((F(1), 1.0), (math.inf, None)):
+            fast = M.bound(float(sl), float(sh), float(ml), float(mh), pf)
+            assert fast == float(local_bound(labs, box, p))
+
+
 def test_sampled_lower_bound_basics(h1_f, h1_g):
     assert sampled_lower_bound(h1_f, h1_g, 1, []) == 0
     assert sampled_lower_bound(h1_f, h1_f, 1,
@@ -169,9 +193,7 @@ def test_approx_agrees_with_dense_grid(pres_f, pres_g):
         s = -C + (2 * C) * i / (n_side - 1)
         for j in range(n_side):
             mu = -1 + 2 * j / (n_side - 1)
-            finB, essB = M.bars(s, mu)
-            finC, essC = N.bars(s, mu)
-            grid_max = max(grid_max, _dw_f(finB, essB, finC, essC, None))
+            grid_max = max(grid_max, float_line_value(M, N, s, mu, math.inf))
     # cell modulus: one local bound per coarse cell (cells are congruent up
     # to the sign cuts, so sample a sweep of cells along both axes)
     ds = 2 * C / (n_side - 1)
@@ -220,10 +242,8 @@ def test_float_fast_path_matches_exact_line_values():
         for _ in range(4):
             s = F(rng.randrange(-24, 25), 4)
             mu = F(rng.randrange(-4, 5), 4)
-            for p, pf in ((F(1), 1.0), (F(2), 2.0), (math.inf, None)):
-                fb, eb = M.bars(float(s), float(mu))
-                fc, ec = N.bars(float(s), float(mu))
-                fast = _dw_f(fb, eb, fc, ec, pf)
+            for p in (F(1), F(2), F(3, 2), math.inf):
+                fast = float_line_value(M, N, float(s), float(mu), p)
                 line = line_of_param(LineParam(s, mu))
                 moved = (line.w[0] + ux, line.w[1] + uy)
                 line = LimitLine(line.axis, moved) if isinstance(line, LimitLine) \
@@ -252,9 +272,7 @@ def test_approx_on_random_paired_inputs():
             for j in range(40):
                 s = -C + 2 * C * i / 39
                 mu = -1 + 2 * j / 39
-                fb, eb = M.bars(s, mu)
-                fc, ec = N.bars(s, mu)
-                assert _dw_f(fb, eb, fc, ec, 1.0) <= float(rep.upper) + 1e-6
+                assert float_line_value(M, N, s, mu, F(1)) <= float(rep.upper) + 1e-6
 
 
 def test_report_argmax_line_is_usable(pres_f, pres_g):

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (Barcode, DataError, INF, Matching, brute_force_full,
-                 brute_force_wasserstein, matching_cost, wasserstein,
+from mpm import (Barcode, DataError, INF, Matching, matching_cost, wasserstein,
                  wasserstein_full, wasserstein_power)
 from mpm.fixtures import random_barcode
+
+from oracles import brute_force_full, brute_force_wasserstein
 
 
 def bc(*bars):
