@@ -8,16 +8,23 @@ jointly translating both modules into [0, C]^2, pushed labels are
 constant in s beyond |s| = C, so the square captures the supremum over
 all admissible lines.
 
-In each sign quadrant of the chart the push of a fixed grade is the max
-of two expressions that are affine in each parameter separately (one of
-them constant or single-variable), so its extrema over a box sit on the
-corners of the quadrant-split sub-boxes.  The push, the box deviation
-and the per-line Wasserstein distance are each written once, generic in
-the number type: on Fractions (push_param, label_deviation, local_bound,
-wasserstein) they are exact, and the branch-and-bound loop runs the
-same code on floats with a small inflation (~1e-9) on every upper-bound
-term.  The final lower bound is re-evaluated in exact arithmetic at the
-best line found (p in {1, inf}).
+The push of a fixed grade is monotone in s on each side of s = 0 and
+monotone in mu on each side of mu = 0, so its extrema over a box sit on
+the grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
+The push, the box deviation and the per-line Wasserstein distance are
+each written once, generic in the number type: on Fractions
+(push_param, label_deviation, local_bound, wasserstein) they are exact,
+and the branch-and-bound loop runs the same code on floats with a small
+inflation (~1e-9) on every upper-bound term.  The final lower bound is
+re-evaluated in exact arithmetic at the best line found (p in {1, inf}).
+
+Each push and each reduction is computed once.  When a box is split,
+the children of every candidate split are bounded in one batch over
+the labels of both modules, so each distinct chart point (parent
+corners, cut corners, child centers) is pushed once; the pushes at the
+chosen children's centers then give their per-line values without
+pushing again.  The pivot pairing of each module is memoized by (row
+order, column order) for the duration of one call (barcode_pairs).
 """
 from __future__ import annotations
 
@@ -70,12 +77,12 @@ def _chart(s, mu, zero, one):
     return one + mu, one, wx, wy
 
 
-def _pushes(label_vec, charts) -> list:
-    """Pushes of 2-D labels along chart lines, label by label: entry
-    i * len(charts) + j is label i pushed along chart j."""
+def _pushes(label_vec, chart) -> list:
+    """Pushes of 2-D labels along one chart line."""
+    kx, ky, wx, wy = chart
     # max(x, y) written out: the builtin call would dominate this loop
     return [y if (y := ky * (ay - wy)) > (x := kx * (ax - wx)) else x
-            for ax, ay in label_vec for kx, ky, wx, wy in charts]
+            for ax, ay in label_vec]
 
 
 def line_of_param(q: LineParam) -> Line:
@@ -90,7 +97,7 @@ def line_of_param(q: LineParam) -> Line:
 
 def push_param(a: Grade, s: Fraction, mu: Fraction) -> Fraction:
     """Exact push of a grade along the chart line (valid on the boundary)."""
-    return _pushes([a], [_chart(s, mu, Fraction(0), Fraction(1))])[0]
+    return _pushes([a], _chart(s, mu, Fraction(0), Fraction(1)))[0]
 
 
 @dataclass(frozen=True)
@@ -115,30 +122,58 @@ class ParamBox:
         return LineParam((self.s_lo + self.s_hi) / 2, (self.mu_lo + self.mu_hi) / 2)
 
 
-def _deviations(label_vec, sl, sh, ml, mh) -> list:
-    """Per label, the sup over the box [sl, sh] x [ml, mh] of |push - push
-    at the box center|.
+def _deviations(label_vec, boxes) -> list:
+    """Per box (sl, sh, ml, mh): the pushes of the labels at the box
+    center, and per label the sup over the box of |push - push at the
+    center|.
 
-    Extrema over each sign quadrant sit on sub-box corners, so the grid
-    of boundary and zero cuts is evaluated.
+    Each distinct chart point, keyed by its (s, mu), is pushed once for
+    all the boxes of a call, so boxes that share corners share pushes.
+
+    Where the extremes sit: write the push as max(T1, T2) with
+    T1 = kx (ax - wx) and T2 = ky (ay - wy), where kx, ky >= 0.  For
+    fixed mu, (wx, wy) is (0, -s) for s < 0 and (s, 0) for s >= 0, so T1
+    is constant for s < 0 and non-increasing for s >= 0, and T2 is
+    non-decreasing for s < 0 and constant for s >= 0.  Each term thus
+    takes its max over [sl, sh] at an endpoint, so the sup of the push
+    is the larger endpoint push; and when sl < 0 < sh the push at s = 0
+    is max(T1(sl), T2(sh)), which is at least both endpoint pushes and
+    at most their max, so the inf is at an endpoint as well.  Only the
+    signs of kx and ky are used, so this holds for labels of any sign,
+    and rounding is monotone, so it holds for float pushes too: no cut
+    at s = 0 is needed.  For fixed s, the push is the max of a constant
+    and a function affine in mu on each side of mu = 0 (kx = 1 + mu
+    below, ky = 1 - mu above), hence monotone on each side, so its
+    extremes sit at ml, mh and, when straddled, mu = 0.  The extremes
+    over the box therefore sit on the grid {sl, sh} x mu-cuts.
     """
-    zero = type(sl)(0)
+    zero = type(boxes[0][0])(0)
     one = zero + 1
-    s_cuts = (sl, zero, sh) if sl < zero < sh else (sl, sh)
-    mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
-    charts = [_chart((sl + sh) / 2, (ml + mh) / 2, zero, one)]
-    charts += [_chart(s, mu, zero, one) for s in s_cuts for mu in mu_cuts]
-    k = len(charts)
-    pushes = _pushes(label_vec, charts)
-    rows = (pushes[i:i + k] for i in range(0, len(pushes), k))
-    # row[0] is the push at the box center
-    return [max(max(row) - row[0], row[0] - min(row)) for row in rows]
+    pushed = {}
+
+    def at(s, mu):
+        vec = pushed.get((s, mu))
+        if vec is None:
+            vec = pushed[s, mu] = _pushes(label_vec, _chart(s, mu, zero, one))
+        return vec
+
+    out = []
+    for sl, sh, ml, mh in boxes:
+        center = at((sl + sh) / 2, (ml + mh) / 2)
+        mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
+        grid = [at(s, mu) for s in (sl, sh) for mu in mu_cuts]
+        # max(hi - c, c - lo) written out, as in _pushes
+        devs = [y if (y := c - lo) > (x := hi - c) else x
+                for c, hi, lo in zip(center, map(max, center, *grid),
+                                     map(min, center, *grid))]
+        out.append((center, devs))
+    return out
 
 
 def label_deviation(a: Grade, box: ParamBox) -> Fraction:
     """Exact sup over the box of |push - push at the box center|."""
     a = (rat(a[0]), rat(a[1]))
-    return _deviations([a], box.s_lo, box.s_hi, box.mu_lo, box.mu_hi)[0]
+    return _deviations([a], [(box.s_lo, box.s_hi, box.mu_lo, box.mu_hi)])[0][1][0]
 
 
 def local_bound(label_vec: Sequence[Grade], box: ParamBox, p: PExp) -> Extended:
@@ -150,7 +185,8 @@ def local_bound(label_vec: Sequence[Grade], box: ParamBox, p: PExp) -> Extended:
     distance across the box.
     """
     p = as_pexp(p)
-    devs = [label_deviation(a, box) for a in label_vec]
+    label_vec = [(rat(a[0]), rat(a[1])) for a in label_vec]
+    [(_, devs)] = _deviations(label_vec, [(box.s_lo, box.s_hi, box.mu_lo, box.mu_hi)])
     return vec_pnorm(devs, p)
 
 
@@ -174,30 +210,52 @@ _INFLATE = 1e-9
 
 
 class _ModuleData:
-    """Float label data of one presentation, translated to [0, C]^2."""
+    """Float label data of one presentation, translated to [0, C]^2.
+
+    memo holds the pivot pairings of barcode_pairs for this matrix; the
+    object lives for one approx_matching_distance call.
+    """
 
     def __init__(self, P: Presentation, ux: Fraction, uy: Fraction):
-        self.rows = [(float(g[0] - ux), float(g[1] - uy)) for g in P.row_labels]
-        self.cols = [(float(g[0] - ux), float(g[1] - uy)) for g in P.col_labels]
+        self.n_rows = P.n_rows
+        self.labels = [(float(g[0] - ux), float(g[1] - uy))
+                       for g in P.row_labels + P.col_labels]
         self.columns = P.column_dicts()
         self.field = P.field
-        self.all = self.rows + self.cols
+        self.memo: dict = {}
 
-    def bars(self, s: float, mu: float):
-        """Finite bars and sorted essential births along the chart line."""
-        charts = [_chart(s, mu, 0.0, 1.0)]
-        pairs, essential = barcode_pairs(_pushes(self.rows, charts),
-                                         _pushes(self.cols, charts),
-                                         self.columns, self.field)
+    def bars(self, pushes: list):
+        """Finite bars and sorted essential births, from the pushes of
+        self.labels along one line."""
+        n = self.n_rows
+        pairs, essential = barcode_pairs(pushes[:n], pushes[n:], self.columns,
+                                         self.field, self.memo)
         return [(b, d) for b, d in pairs if d > b], sorted(essential)
 
-    def bound(self, sl, sh, ml, mh, pf: Optional[float]) -> float:
-        devs = _deviations(self.all, sl, sh, ml, mh)
-        if pf is None:
-            return max(devs, default=0.0)
-        if pf == 1.0:
-            return sum(devs)
-        return sum(d ** pf for d in devs) ** (1.0 / pf)
+
+def _lp(devs: list, pf: Optional[float]) -> float:
+    """Float lp-norm of one module's deviations (pf None for p = inf)."""
+    if pf is None:
+        return max(devs, default=0.0)
+    if pf == 1.0:
+        return sum(devs)
+    return sum(d ** pf for d in devs) ** (1.0 / pf)
+
+
+def _box_bounds(M: _ModuleData, N: _ModuleData, boxes: list,
+                pf: Optional[float]) -> list:
+    """Per box: the pushes of M.labels + N.labels at the box center, and
+    the float bound of M plus the float bound of N over the box (not yet
+    inflated)."""
+    k = len(M.labels)
+    return [(center, _lp(devs[:k], pf) + _lp(devs[k:], pf))
+            for center, devs in _deviations(M.labels + N.labels, boxes)]
+
+
+def _line_value(M: _ModuleData, N: _ModuleData, pushes: list, p: PExp) -> float:
+    """Float per-line distance from the pushes of M.labels + N.labels."""
+    k = len(M.labels)
+    return bar_distance(*M.bars(pushes[:k]), *N.bars(pushes[k:]), p, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +333,14 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     N = _ModuleData(P_N, ux, uy)
     pf = None if is_inf(p) else float(p)
 
-    def line_value(s: float, mu: float) -> float:
-        return bar_distance(*M.bars(s, mu), *N.bars(s, mu), p, 0.0)[0]
-
-    def box_bound(sl, sh, ml, mh) -> float:
-        b = M.bound(sl, sh, ml, mh, pf) + N.bound(sl, sh, ml, mh, pf)
-        return b * (1.0 + 1e-12) + _INFLATE
+    def box_bounds(boxes):
+        """Per box: the pushes at its center and its inflated bound."""
+        return [(center, b * (1.0 + 1e-12) + _INFLATE)
+                for center, b in _box_bounds(M, N, boxes, pf)]
 
     root = (-Cf, Cf, -1.0, 1.0)
-    root_val = line_value(0.0, 0.0)
+    [(root_pushes, root_bound)] = box_bounds([root])
+    root_val = _line_value(M, N, root_pushes, p)
     evaluated = 1
     argmax = LineParam(0, 0)
     if is_inf(root_val):
@@ -295,7 +352,7 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     lower = root_val
     goal = eps * (1.0 - 1e-6)
     counter = 0
-    heap = [(-(root_val + box_bound(*root)), counter, root, 0)]
+    heap = [(-(root_val + root_bound), counter, root, 0)]
     max_depth_seen = 0
 
     def make_report(upper_f: float, converged: bool) -> DistanceReport:
@@ -316,7 +373,9 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
 
         Pushes are flat or affine within each sign quadrant of the
         chart, so cutting at 0 isolates flat regions (bound 0) at once.
-        Returns (children, bounds) or None for a point box.
+        The children of all candidates are bounded in one batch.
+        Returns (children, [(center pushes, bound)]) or None for a point
+        box.
         """
         sl, sh, ml, mh = box
         cands = []
@@ -328,14 +387,16 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
                 cands.append((1, cut, [(sl, sh, ml, cut), (sl, sh, cut, mh)]))
         if not cands:
             return None
+        bounded = box_bounds([ch for _, _, children in cands for ch in children])
         best = None
-        for axis, cut, children in cands:
-            bnds = [box_bound(*ch) for ch in children]
+        for i, (axis, cut, children) in enumerate(cands):
+            pair = bounded[2 * i:2 * i + 2]
+            bnds = [b for _, b in pair]
             # sum-of-children ranks a split that flattens one child above
             # one that merely halves both; max alone cannot see that
             key = (sum(bnds), max(bnds), axis, cut)
             if best is None or key < best[0]:
-                best = (key, children, bnds)
+                best = (key, children, pair)
         return best[1], best[2]
 
     while heap:
@@ -353,14 +414,14 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         if split is None:
             # point box: its only line is the (already evaluated) center
             continue
-        children, bnds = split
-        centers = [((a + b) / 2, (c + d) / 2) for a, b, c, d in children]
-        for child, (cs, cmu), bnd in zip(children, centers, bnds):
-            val = line_value(cs, cmu)
+        children, bounded = split
+        for child, (pushes, bnd) in zip(children, bounded):
+            val = _line_value(M, N, pushes, p)
             evaluated += 1
             if val > lower:
                 lower = val
-                argmax = LineParam(Fraction(cs), Fraction(cmu))
+                sl, sh, ml, mh = child
+                argmax = LineParam(Fraction((sl + sh) / 2), Fraction((ml + mh) / 2))
             upper_child = val + bnd
             if upper_child > lower:
                 counter += 1

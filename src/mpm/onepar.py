@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .barcode import Barcode
 from .errors import DataError
@@ -51,23 +51,35 @@ def reduce_columns(columns: list[SparseCol], field: PrimeField):
 
 
 def barcode_pairs(row_values: Sequence, col_values: Sequence,
-                  columns: list[SparseCol], field: PrimeField):
+                  columns: list[SparseCol], field: PrimeField,
+                  memo: Optional[dict] = None):
     """Pivot pairs and essential births of a 1-parameter reduction.
 
     Label values only need to be totally ordered (Fractions or floats),
     which lets the matching-distance fast path reuse this routine.
     Returns ([(birth, death) pivot pairs], [essential births]).
+
+    The pivot pairing depends on the values only through the row order
+    and the column order (stable sorts, so ties break by index).  memo,
+    if given, maps that pair of orders to the pairing as (row index,
+    column index) pairs and essential row indices; a memo must only
+    ever see one matrix and field.
     """
-    row_order = sorted(range(len(row_values)), key=lambda i: (row_values[i], i))
-    row_rank = {orig: rank for rank, orig in enumerate(row_order)}
-    col_order = sorted(range(len(col_values)), key=lambda j: (col_values[j], j))
-    permuted = [{row_rank[r]: v for r, v in columns[j].items()} for j in col_order]
-    _, pivots = reduce_columns(permuted, field)
-    pairs = [(row_values[row_order[r]], col_values[col_order[j]])
-             for r, j in pivots.items()]
-    essential = [row_values[row_order[r]]
-                 for r in range(len(row_values)) if r not in pivots]
-    return pairs, essential
+    row_order = sorted(range(len(row_values)), key=row_values.__getitem__)
+    col_order = sorted(range(len(col_values)), key=col_values.__getitem__)
+    key = (tuple(row_order), tuple(col_order))
+    pairing = None if memo is None else memo.get(key)
+    if pairing is None:
+        row_rank = {orig: rank for rank, orig in enumerate(row_order)}
+        permuted = [{row_rank[r]: v for r, v in columns[j].items()} for j in col_order]
+        _, pivots = reduce_columns(permuted, field)
+        pairing = ([(row_order[r], col_order[j]) for r, j in pivots.items()],
+                   [row_order[r] for r in range(len(row_order)) if r not in pivots])
+        if memo is not None:
+            memo[key] = pairing
+    index_pairs, essential = pairing
+    return ([(row_values[i], col_values[j]) for i, j in index_pairs],
+            [row_values[i] for i in essential])
 
 
 @dataclass(frozen=True)

@@ -252,9 +252,18 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     m, n = len(diag_left), len(diag_right)
     if m == 0 and n == 0:
         return 0, []
-    # the optimum is the largest term of some matching, hence a given cost
-    candidates = sorted(set(list(diag_left) + list(diag_right) +
-                            [pair_cost[i][j] for i in range(m) for j in range(n)]))
+    # The optimum is the largest term of some matching, hence a given
+    # cost.  Every bar is matched or sent to the diagonal, so no
+    # threshold below any bar's cheapest option is feasible; sending
+    # every bar to the diagonal is always feasible.
+    diag = list(diag_left) + list(diag_right)
+    cheapest = [min((d, *row)) for d, row in zip(diag_left, pair_cost)]
+    cheapest += [min((d, *(row[j] for row in pair_cost)))
+                 for j, d in enumerate(diag_right)]
+    floor, ceil = max(cheapest), max(diag)
+    candidates = sorted({c for c in diag + [pair_cost[i][j] for i in range(m)
+                                            for j in range(n)]
+                         if floor <= c <= ceil})
 
     def matching_at(thr):
         # left: bars of B then n ghosts; right: bars of C then m ghosts

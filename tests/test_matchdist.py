@@ -10,9 +10,9 @@ from mpm import (AdmissibleLine, INF, LimitLine, LineParam,
                  line_of_param, local_bound, push, push_param,
                  sampled_lower_bound, wasserstein)
 from mpm.field import PrimeField
-from mpm.matchdist import _ModuleData
+from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _line_value,
+                           _pushes, label_deviation)
 from mpm.presentation import Presentation, labels
-from mpm.wasserstein import bar_distance
 
 from oracles import box_sample_max_power
 
@@ -21,7 +21,7 @@ F2 = PrimeField(2)
 
 def float_line_value(M, N, s, mu, p):
     """The branch-and-bound's per-line distance: the shared code on floats."""
-    return bar_distance(*M.bars(s, mu), *N.bars(s, mu), p, 0.0)[0]
+    return _line_value(M, N, _pushes(M.labels + N.labels, _chart(s, mu, 0.0, 1.0)), p)
 
 
 def test_line_of_param_examples():
@@ -85,7 +85,6 @@ def test_local_bound_norm_comparison():
         assert vinf <= v1 <= z * vinf
         # v_p <= z^(1/p) * v_inf, checked exactly at p = 2 via squares
         from mpm.grades import vec_pnorm_power
-        from mpm.matchdist import label_deviation
         v2_sq = vec_pnorm_power([label_deviation(a, box) for a in labs], F(2))
         assert v2_sq <= z * vinf ** 2
 
@@ -115,20 +114,84 @@ def test_label_deviation_dominates_dense_sampling():
 
 def test_float_box_bound_equals_exact_bound_on_dyadic_inputs():
     # dyadic labels and box corners keep every float operation exact, so
-    # the branch-and-bound's box bound must equal the exact local bound
+    # the branch-and-bound's box bound must equal the exact local bound;
+    # a box and its split children go through one batch, sharing corners
     rng = random.Random(137)
     for _ in range(200):
-        labs = [(F(rng.randrange(0, 25), 4), F(rng.randrange(0, 25), 4))
-                for _ in range(rng.randint(1, 5))]
-        M = _ModuleData(free_presentation(labs, F2), F(0), F(0))
+        labs_m, labs_n = ([(F(rng.randrange(0, 25), 4), F(rng.randrange(0, 25), 4))
+                           for _ in range(rng.randint(1, 5))] for _ in range(2))
+        M = _ModuleData(free_presentation(labs_m, F2), F(0), F(0))
+        N = _ModuleData(free_presentation(labs_n, F2), F(0), F(0))
         sl = F(rng.randrange(-8, 8), 2)
         sh = sl + F(rng.randrange(0, 5), 2)
         ml = F(rng.randrange(-8, 8), 8)
         mh = min(F(1), ml + F(rng.randrange(0, 9), 8))
-        box = ParamBox(sl, sh, ml, mh)
+        sm, mm = (sl + sh) / 2, (ml + mh) / 2
+        boxes = [(sl, sh, ml, mh), (sl, sm, ml, mh), (sm, sh, ml, mh),
+                 (sl, sh, ml, mm), (sl, sh, mm, mh)]
         for p, pf in ((F(1), 1.0), (math.inf, None)):
-            fast = M.bound(float(sl), float(sh), float(ml), float(mh), pf)
-            assert fast == float(local_bound(labs, box, p))
+            fast = _box_bounds(M, N, [tuple(map(float, b)) for b in boxes], pf)
+            for b, (_, bound) in zip(boxes, fast):
+                box = ParamBox(*b)
+                assert bound == float(local_bound(labs_m, box, p) + local_bound(labs_n, box, p))
+
+
+def test_label_deviation_needs_no_s_zero_cut():
+    # for fixed mu the push is monotone on each side of s = 0, so on boxes
+    # straddling s = 0 the grid without the s = 0 cut already holds the
+    # extremes, for labels of either sign
+    rng = random.Random(181)
+    for _ in range(400):
+        a = (F(rng.randrange(-12, 13), 4), F(rng.randrange(-12, 13), 4))
+        sl = -F(rng.randrange(1, 17), 4)
+        sh = F(rng.randrange(1, 17), 4)
+        ml = F(rng.randrange(-8, 8), 8)
+        mh = min(F(1), ml + F(rng.randrange(1, 9), 8))
+        box = ParamBox(sl, sh, ml, mh)
+        c = push_param(a, box.center.s, box.center.mu)
+        mu_cuts = (ml, F(0), mh) if ml < 0 < mh else (ml, mh)
+        full = max(abs(push_param(a, s, mu) - c)
+                   for s in (sl, F(0), sh) for mu in mu_cuts)
+        assert label_deviation(a, box) == full
+
+
+# (seed, p, lower, upper, lines_evaluated, max_depth_seen, argmax_line) of
+# approx_matching_distance(P, Q, p, 1/4) on
+# random_paired_presentations(Random(seed), 2, 4, 4): every decision of the
+# branch-and-bound shows in these, so a change that alters one fails here
+GOLDEN_APPROX = [
+    (0, 1, F(7, 1), 7.238281251000613, 673, 16, (F(39, 8), F(-1, 2))),
+    (0, 2, 3.984344362627307, 4.22658663878055, 281, 12, (F(39, 8), F(-1, 2))),
+    (0, INF, F(3, 1), 3.240234376000245, 207, 11, (F(13, 4), F(-1, 2))),
+    (1, 1, F(130049, 65536), 2.2332763681881787, 1219, 16, (F(385, 256), F(-1, 256))),
+    (1, 2, 1.1101759047785091, 1.3592191821236146, 671, 15, (F(189, 128), F(-1, 128))),
+    (1, INF, F(12093, 16384), 0.9843750010005937, 443, 13, (F(189, 128), F(-1, 64))),
+    (5, 1, F(831, 128), 6.741699219750371, 1191, 15, (F(99, 64), F(-1, 64))),
+    (5, 2, 4.626825797058859, 4.876772831686795, 429, 13, (F(159, 64), F(-1, 32))),
+    (5, INF, F(9, 2), 4.747070313500248, 277, 12, (F(3, 1), F(0, 1))),
+    (8, 1, F(4083, 512), 8.210937501000261, 269, 15, (F(195, 64), F(1, 256))),
+    (8, 2, 3.517811819867572, 3.758764324474325, 275, 11, (F(-3, 1), F(1, 2))),
+    (8, INF, F(9, 4), 2.484375001000984, 201, 10, (F(-3, 1), F(0, 1))),
+    (15, 1, F(4, 1), 4.2187500010006715, 93, 10, (F(-3, 1), F(1, 2))),
+    (15, 2, 2.9034870098566397, 3.152942313522325, 149, 11, (F(-21, 8), F(9, 16))),
+    (15, INF, F(5, 2), 2.746093751000246, 325, 12, (F(-9, 2), F(0, 1))),
+    (21, 1, F(5, 2), 2.7480468760002794, 1153, 17, (F(15, 4), F(-1, 2))),
+    (21, 2, 1.1726039399558574, 1.4214463332780658, 707, 15, (F(15, 4), F(-1, 2))),
+    (21, INF, F(3, 4), 0.9975585947506426, 405, 14, (F(15, 4), F(0, 1))),
+]
+
+
+@pytest.mark.parametrize("seed", sorted({row[0] for row in GOLDEN_APPROX}))
+def test_approx_decisions_are_pinned(seed):
+    from mpm.fixtures import random_paired_presentations
+    P, Q = random_paired_presentations(random.Random(seed), 2, 4, 4)
+    for s, p, lower, upper, lines, depth, argmax in GOLDEN_APPROX:
+        if s != seed:
+            continue
+        rep = approx_matching_distance(P, Q, p, F(1, 4))
+        assert (type(rep.lower), rep.lower) == (type(lower), lower)
+        assert (rep.upper, rep.lines_evaluated, rep.max_depth_seen) == (upper, lines, depth)
+        assert rep.argmax_line == LineParam(*argmax)
 
 
 def test_sampled_lower_bound_basics(h1_f, h1_g):
@@ -202,8 +265,7 @@ def test_approx_agrees_with_dense_grid(pres_f, pres_g):
         s = -C + ds * i
         for j in range(0, n_side - 1, 7):
             mu = -1 + dmu * j
-            bound = M.bound(s, s + ds, mu, mu + dmu, None) \
-                + N.bound(s, s + ds, mu, mu + dmu, None)
+            [(_, bound)] = _box_bounds(M, N, [(s, s + ds, mu, mu + dmu)], None)
             modulus = max(modulus, bound)
     assert abs(float(rep.lower) - grid_max) <= eps + modulus + 1e-6
 

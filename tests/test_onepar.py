@@ -8,8 +8,10 @@ from mpm import (Barcode, DataError, INF, PrimeField, Presentation,
                  barcode_of, free_presentation, interpolation_breakpoints,
                  labels, rank_invariant, reduce_to_normal_form, wasserstein,
                  wasserstein_power)
-from mpm.fixtures import random_paired_presentations, random_presentation
+from mpm.fixtures import (random_matrix, random_paired_presentations,
+                          random_presentation)
 from mpm.grades import labels_pnorm_power, vec_pnorm
+from mpm.onepar import barcode_pairs
 from mpm.presentation import labels1d
 
 F2 = PrimeField(2)
@@ -129,6 +131,29 @@ def test_wasserstein_bounded_by_label_distance():
         dw = wasserstein(bp, bq, math.inf)
         lab = vec_pnorm([a[0] - b[0] for a, b in zip(labels(P), labels(Q))], math.inf)
         assert dw <= lab
+
+
+def test_barcode_pairs_memo_matches_fresh_reduction():
+    # one memo shared by many tie-heavy label vectors of one matrix returns
+    # exactly what a fresh reduction returns, and holds one entry per
+    # (row order, column order), ties broken by index
+    rng = random.Random(173)
+    for q in (2, 3):
+        field = PrimeField(q)
+        for _ in range(8):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(0, 5)
+            columns = random_matrix(rng, n_rows, n_cols, field)
+            for kind in (F, float):
+                memo, orders = {}, set()
+                for _ in range(50):
+                    rows = [kind(rng.randrange(3)) for _ in range(n_rows)]
+                    cols = [kind(rng.randrange(3)) for _ in range(n_cols)]
+                    got = barcode_pairs(rows, cols, columns, field, memo)
+                    assert got == barcode_pairs(rows, cols, columns, field)
+                    assert all(type(v) is kind for pair in got[0] for v in pair)
+                    orders.add(tuple(tuple(sorted(range(len(v)), key=lambda i: (v[i], i)))
+                                     for v in (rows, cols)))
+                assert len(memo) == len(orders)
 
 
 def test_breakpoints_examples():

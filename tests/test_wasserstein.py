@@ -7,6 +7,7 @@ import pytest
 from mpm import (Barcode, DataError, INF, Matching, matching_cost, wasserstein,
                  wasserstein_full, wasserstein_power)
 from mpm.fixtures import random_barcode
+from mpm.wasserstein import bottleneck_assignment
 
 from oracles import brute_force_full, brute_force_wasserstein
 
@@ -77,6 +78,33 @@ def test_oracle_equivalence_randomized():
         for p in (F(1), F(2)):
             assert wasserstein_power(B, C, p) == brute_force_full(B, C, p).power
         assert wasserstein(B, C, math.inf) == brute_force_wasserstein(B, C, math.inf)
+
+
+def test_bottleneck_pairs_realize_the_value():
+    # small integer bars give many tied costs; empty sides included.  The
+    # threshold search must return pairs whose cost is its value, and the
+    # value must be the optimum
+    rng = random.Random(151)
+    for trial in range(300):
+        nb, nc = rng.randint(0, 4), rng.randint(0, 4)
+        if trial % 5 == 0:
+            nc = 0
+        elif trial % 5 == 1:
+            nb = 0
+        if nb + nc == 0:
+            continue
+        B, C = ([(F(b), F(b + rng.randint(1, 3))) for b in
+                 (rng.randrange(3) for _ in range(k))] for k in (nb, nc))
+        pair_cost = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in C] for b in B]
+        diag_l = [(b[1] - b[0]) / 2 for b in B]
+        diag_r = [(c[1] - c[0]) / 2 for c in C]
+        value, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
+        left, right = {i for i, _ in pairs}, {j for _, j in pairs}
+        terms = ([pair_cost[i][j] for i, j in pairs]
+                 + [d for i, d in enumerate(diag_l) if i not in left]
+                 + [d for j, d in enumerate(diag_r) if j not in right])
+        assert max(terms) == value
+        assert value == brute_force_wasserstein(Barcode(B), Barcode(C), math.inf)
 
 
 def test_symmetry_exact():
