@@ -59,12 +59,6 @@ class Barcode:
         inner = ", ".join(f"[{format_rat(b)}, {format_rat(d)})" for b, d in self.bars)
         return f"Barcode({{{inner}}})"
 
-    def finite(self) -> tuple[Bar, ...]:
-        return tuple(bar for bar in self.bars if not is_inf(bar[1]))
-
-    def essential(self) -> tuple[Bar, ...]:
-        return tuple(bar for bar in self.bars if is_inf(bar[1]))
-
     def sorted(self) -> "Barcode":
         return Barcode(sorted(self.bars, key=_sort_key))
 

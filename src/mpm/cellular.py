@@ -103,9 +103,6 @@ class FilteredComplex:
     def cells_of_dim(self, dim: int) -> list[Cell]:
         return [c for c in self.cells if c[1] == dim]
 
-    def max_dim(self) -> int:
-        return max((c[1] for c in self.cells), default=-1)
-
     def with_grades(self, grades: Mapping[str, Grade]) -> "FilteredComplex":
         cells = [(cid, dim, grades[cid]) for cid, dim, _ in self.cells]
         return FilteredComplex(self.field, self.n_params, cells, self.boundary)

@@ -2,8 +2,9 @@
 
 Field elements are plain ints in [0, q); columns are dicts mapping row
 index to a nonzero residue.  :class:`ColumnEchelon` is the one
-elimination engine used for ranks, span-membership tests and expressing
-vectors in a recorded basis.
+elimination engine used for ranks, span-membership tests, expressing
+vectors in a recorded basis and the 1-parameter pivot pairing behind
+barcodes and the graded normal form (onepar).
 """
 from __future__ import annotations
 
@@ -48,12 +49,6 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.q):
             raise DataError(f"field order {self.q} is not prime")
-
-    def normalize(self, x: int) -> int:
-        return x % self.q
-
-    def neg(self, x: int) -> int:
-        return -x % self.q
 
     def inv(self, x: int) -> int:
         if x % self.q == 0:

@@ -189,10 +189,6 @@ def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
 # ---------------------------------------------------------------------------
 # grades
 
-def grade(*coords) -> Grade:
-    return tuple(rat(c) for c in coords)
-
-
 def grade_leq(a: Grade, b: Grade) -> bool:
     """Product partial order on R^n."""
     return all(x <= y for x, y in zip(a, b, strict=True))

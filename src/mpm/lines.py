@@ -5,7 +5,10 @@ push of a grade a is the smallest t with l(t) >= a, i.e.
 max_i (a_i - w_i) / v_i.  Degenerate axis-parallel limits (used by the
 matching-distance compactification) are represented separately; their
 push is max(a_i - w_i, 0) over the remaining finite-direction
-coordinate, the pointwise limit of the admissible formula.
+coordinate, the pointwise limit of the admissible formula.  _pushes
+holds the formula once, for any number type: push and
+restrict_presentation run it on Fractions, and the matching-distance
+search runs it on floats over its (s, mu) chart.
 """
 from __future__ import annotations
 
@@ -53,9 +56,10 @@ class LimitLine:
     w: Grade
 
     def __post_init__(self):
-        if self.axis not in (0, 1):
-            raise DataError("axis must be 0 or 1")
-        object.__setattr__(self, "w", tuple(rat(c) for c in self.w))
+        w = tuple(rat(c) for c in self.w)
+        if self.axis not in (0, 1) or len(w) != 2:
+            raise DataError("a limit line needs axis 0 or 1 and a base point in the plane")
+        object.__setattr__(self, "w", w)
 
 
 Line = Union[AdmissibleLine, LimitLine]
@@ -80,13 +84,33 @@ def canonicalize_line(v_raw, w_raw) -> AdmissibleLine:
     return AdmissibleLine(v, w)
 
 
+def _pushes(label_vec, chart) -> list:
+    """Pushes of 2-D labels along one line, given by its chart.
+
+    The chart (kx, ky, wx, wy) is a line with base point (wx, wy) and
+    direction (1/kx, 1/ky); it pushes a label a to
+    max(kx (ax - wx), ky (ay - wy)).  kx or ky is 0 on a limit line.
+    """
+    kx, ky, wx, wy = chart
+    # max(x, y) written out: the builtin call would dominate this loop
+    return [y if (y := ky * (ay - wy)) > (x := kx * (ax - wx)) else x
+            for ax, ay in label_vec]
+
+
+def _line_chart(line: Line) -> tuple:
+    """The chart (1/v0, 1/v1, w0, w1) of a line for _pushes; a limit line
+    keeps the coefficient 1 on its axis and 0 on the other."""
+    if isinstance(line, LimitLine):
+        one, zero = Fraction(1), Fraction(0)
+        kx, ky = (one, zero) if line.axis == 0 else (zero, one)
+    else:
+        kx, ky = 1 / line.v[0], 1 / line.v[1]
+    return kx, ky, line.w[0], line.w[1]
+
+
 def push(line: Line, a: Grade) -> Fraction:
     """Minimal t with l(t) >= a (limit value for degenerate lines)."""
-    a = tuple(rat(c) for c in a)
-    if isinstance(line, LimitLine):
-        i = line.axis
-        return max(a[i] - line.w[i], Fraction(0))
-    return max((a[0] - line.w[0]) / line.v[0], (a[1] - line.w[1]) / line.v[1])
+    return _pushes([tuple(rat(c) for c in a)], _line_chart(line))[0]
 
 
 def restrict_presentation(P: Presentation, line: Line) -> Presentation:
@@ -96,9 +120,9 @@ def restrict_presentation(P: Presentation, line: Line) -> Presentation:
     """
     if P.n_params != 2:
         raise DataError("restriction applies to 2-parameter presentations")
-    rows = tuple((push(line, g),) for g in P.row_labels)
-    cols = tuple((push(line, g),) for g in P.col_labels)
-    return Presentation(P.field, 1, rows, cols, P.columns)
+    pushed = [(t,) for t in _pushes(P.row_labels + P.col_labels, _line_chart(line))]
+    return Presentation(P.field, 1, tuple(pushed[:P.n_rows]),
+                        tuple(pushed[P.n_rows:]), P.columns)
 
 
 def barcode_along_line(P: Presentation, line: Line) -> Barcode:

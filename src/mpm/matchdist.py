@@ -11,12 +11,14 @@ all admissible lines.
 The push of a fixed grade is monotone in s on each side of s = 0 and
 monotone in mu on each side of mu = 0, so its extrema over a box sit on
 the grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
-The push, the box deviation and the per-line Wasserstein distance are
-each written once, generic in the number type: on Fractions
-(push_param, label_deviation, local_bound, wasserstein) they are exact,
-and the branch-and-bound loop runs the same code on floats with a small
-inflation (~1e-9) on every upper-bound term.  The final lower bound is
-re-evaluated in exact arithmetic at the best line found (p in {1, inf}).
+The push (lines._pushes, fed by the chart _chart), the box deviation
+and the per-line Wasserstein distance are each written once, generic
+in the number type: on Fractions (push_param, label_deviation,
+local_bound, wasserstein) they are exact, and the branch-and-bound loop
+runs the same code on floats with a small inflation (~1e-9) on every
+upper-bound term.  The final lower bound is re-evaluated in exact
+arithmetic on the report's argmax_admissible line (integral p and
+p = inf); a value above the inflated float upper bound is an error.
 
 Each push and each reduction is computed once.  When a box is split,
 the children of every candidate split are bounded in one batch over
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 from .errors import ComputationError, DataError, SubdivisionLimitError
 from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, pexp_integral,
                      rat, vec_pnorm)
-from .lines import AdmissibleLine, Line, LimitLine, barcode_along_line
+from .lines import AdmissibleLine, Line, LimitLine, _pushes, barcode_along_line
 from .onepar import barcode_pairs
 from .presentation import Presentation, labels
 from .wasserstein import bar_distance, wasserstein
@@ -61,12 +63,12 @@ class LineParam:
 
 
 def _chart(s, mu, zero, one):
-    """Coefficients (kx, ky, wx, wy) of the chart line (s, mu).
+    """The chart (kx, ky, wx, wy) of the line (s, mu) for lines._pushes.
 
-    The line has base point w = (wx, wy) and direction (1/kx, 1/ky), so
-    it pushes a label a to max(kx (ax - wx), ky (ay - wy)); kx or ky is 0
-    on the limit lines |mu| = 1.  zero and one carry the number type, so
-    Fractions stay exact and floats meet no ints in the per-label loop.
+    The line has base point w = (wx, wy) and direction (1/kx, 1/ky); kx
+    or ky is 0 on the limit lines |mu| = 1.  zero and one carry the
+    number type, so Fractions stay exact and floats meet no ints in the
+    per-label loop.
     """
     if s >= 0:
         wx, wy = s, zero
@@ -75,14 +77,6 @@ def _chart(s, mu, zero, one):
     if mu >= 0:
         return one, one - mu, wx, wy
     return one + mu, one, wx, wy
-
-
-def _pushes(label_vec, chart) -> list:
-    """Pushes of 2-D labels along one chart line."""
-    kx, ky, wx, wy = chart
-    # max(x, y) written out: the builtin call would dominate this loop
-    return [y if (y := ky * (ay - wy)) > (x := kx * (ax - wx)) else x
-            for ax, ay in label_vec]
 
 
 def line_of_param(q: LineParam) -> Line:
@@ -285,28 +279,19 @@ class DistanceReport:
         return AdmissibleLine(line.v, w)
 
 
-def _exact_line_value(P_M, P_N, lp: LineParam, translation: Grade, p) -> Extended:
-    line = line_of_param(lp)
-    ux, uy = translation
-    moved = (line.w[0] + ux, line.w[1] + uy)
-    line = LimitLine(line.axis, moved) if isinstance(line, LimitLine) \
-        else AdmissibleLine(line.v, moved)
-    return wasserstein(barcode_along_line(P_M, line),
-                       barcode_along_line(P_N, line), p)
-
-
 def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
                              epsilon, max_depth: int = 60) -> DistanceReport:
     """Approximate d_M^p(M, N) with certificate upper - lower <= epsilon.
 
     lower is the max of per-line distances over the evaluated box
-    centers (re-evaluated exactly at the best line for p in {1, inf});
-    upper adds the local push-deviation bounds of the live boxes.
-    Boxes are processed best-first by upper bound and split one
+    centers (re-evaluated exactly at the best line for integral p and
+    p = inf); upper adds the local push-deviation bounds of the live
+    boxes.  Boxes are processed best-first by upper bound and split one
     direction at a time by the rule in split_candidates; children whose
     bound cannot beat the current lower are pruned.  Raises
     SubdivisionLimitError (with the partial report attached) if the
-    depth guard is hit.
+    depth guard is hit, and ComputationError if the exact lower bound
+    exceeds the inflated float upper bound.
     """
     p = as_pexp(p)
     eps = float(epsilon)
@@ -356,16 +341,16 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     max_depth_seen = 0
 
     def make_report(upper_f: float, converged: bool) -> DistanceReport:
+        report = DistanceReport(p, eps, lower, upper_f, evaluated, argmax,
+                                translation, converged, max_depth_seen)
         if pexp_integral(p) or is_inf(p):
-            exact_lower = _exact_line_value(P_M, P_N, argmax, translation, p)
-        else:
-            exact_lower = lower
-        upper_out: Extended = max(upper_f, float(exact_lower))
-        report = DistanceReport(p, eps, exact_lower, upper_out, evaluated,
-                                argmax, translation, converged, max_depth_seen)
-        if not float(report.lower) <= float(report.upper) + 1e-9:
+            line = report.argmax_admissible()
+            report.lower = wasserstein(barcode_along_line(P_M, line),
+                                       barcode_along_line(P_N, line), p)
+        if report.lower > upper_f * (1.0 + 1e-12) + _INFLATE:
             raise ComputationError(
-                f"lower bound {float(report.lower)} exceeds upper bound {float(report.upper)}")
+                f"lower bound {float(report.lower)} exceeds upper bound {upper_f}")
+        report.upper = max(upper_f, float(report.lower))
         return report
 
     def split_candidates(box):

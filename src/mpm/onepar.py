@@ -1,15 +1,15 @@
 """One-parameter presentations: graded normal form and barcodes.
 
-The reduction is the persistence-style column reduction: rows and
-columns are sorted by label (ties by index), columns are processed left
-to right, and a column is repeatedly reduced by the earlier column
-owning its lowest nonzero row.  Every operation adds an earlier-labeled
-column to a later one, hence is admissible.  The final cleanup that
-empties pivot rows above the pivots amounts to row operations
-row_i += a * row_p with i earlier than p in label order (admissible);
-at the time a pivot row is processed in decreasing order it is a
-singleton, so the net effect is dropping the non-pivot entries of the
-pivot columns.
+The reduction is the persistence-style column reduction, run by
+field.ColumnEchelon (_pivot_pairing): rows and columns are sorted by
+label (ties by index), columns are inserted left to right, and each is
+repeatedly reduced by the earlier column owning its nonzero row of
+largest index.  Every operation adds an earlier-labeled column to a later one,
+hence is admissible.  The normal form's cleanup that empties pivot rows
+above the pivots amounts to row operations row_i += a * row_p with i
+earlier than p in label order (admissible); at the time a pivot row is
+processed in decreasing order it is a singleton, so the net effect is
+dropping the non-pivot entries of the pivot columns.
 """
 from __future__ import annotations
 
@@ -19,35 +19,28 @@ from typing import Optional, Sequence
 
 from .barcode import Barcode
 from .errors import DataError
-from .field import PrimeField, SparseCol, col_axpy
+from .field import ColumnEchelon, PrimeField, SparseCol
 from .grades import INF
 from .presentation import Presentation
 
 
-def reduce_columns(columns: list[SparseCol], field: PrimeField):
-    """Left-to-right column reduction with largest-row pivots.
+def _pivot_pairing(row_order: Sequence[int], col_order: Sequence[int],
+                   columns: Sequence[SparseCol], field: PrimeField) -> dict:
+    """Column reduction of the matrix with rows and columns permuted.
 
-    columns are consumed in list order and row indices must already be
-    renumbered by processing rank.  Returns (reduced columns, pivot map
-    row -> column index).
+    Rows are renumbered by their rank in row_order and the columns are
+    inserted into a ColumnEchelon in col_order.  Returns {row rank:
+    (column rank, pivot coefficient)} in pivot order.
     """
-    q = field.q
-    pivots: dict[int, int] = {}
-    reduced: list[SparseCol] = []
-    for j, col in enumerate(columns):
-        col = dict(col)
-        while col:
-            r = max(col)
-            owner = pivots.get(r)
-            if owner is None:
-                break
-            other = reduced[owner]
-            factor = col[r] * field.inv(other[r]) % q
-            col_axpy(col, factor, other, q)
-        reduced.append(col)
-        if col:
-            pivots[max(col)] = j
-    return reduced, pivots
+    row_rank = {orig: rank for rank, orig in enumerate(row_order)}
+    echelon = ColumnEchelon(field)
+    pivots = {}
+    for rank, j in enumerate(col_order):
+        res, _ = echelon.insert({row_rank[r]: v for r, v in columns[j].items()})
+        if res:
+            r = max(res)
+            pivots[r] = (rank, res[r])
+    return pivots
 
 
 def barcode_pairs(row_values: Sequence, col_values: Sequence,
@@ -70,10 +63,8 @@ def barcode_pairs(row_values: Sequence, col_values: Sequence,
     key = (tuple(row_order), tuple(col_order))
     pairing = None if memo is None else memo.get(key)
     if pairing is None:
-        row_rank = {orig: rank for rank, orig in enumerate(row_order)}
-        permuted = [{row_rank[r]: v for r, v in columns[j].items()} for j in col_order]
-        _, pivots = reduce_columns(permuted, field)
-        pairing = ([(row_order[r], col_order[j]) for r, j in pivots.items()],
+        pivots = _pivot_pairing(row_order, col_order, columns, field)
+        pairing = ([(row_order[r], col_order[j]) for r, (j, _) in pivots.items()],
                    [row_order[r] for r in range(len(row_order)) if r not in pivots])
         if memo is not None:
             memo[key] = pairing
@@ -96,25 +87,19 @@ def reduce_to_normal_form(P: Presentation) -> NormalForm:
     """Reduce a 1-parameter presentation by admissible operations only."""
     if P.n_params != 1:
         raise DataError("normal form reduction requires a 1-parameter presentation")
-    row_order = tuple(sorted(range(P.n_rows), key=lambda i: (P.row_labels[i], i)))
-    row_rank = {orig: rank for rank, orig in enumerate(row_order)}
-    col_order = tuple(sorted(range(P.n_cols), key=lambda j: (P.col_labels[j], j)))
-    permuted = [{row_rank[r]: v for r, v in P.columns[j]} for j in col_order]
-    reduced, pivots = reduce_columns(permuted, P.field)
+    row_order = tuple(sorted(range(P.n_rows), key=P.row_labels.__getitem__))
+    col_order = tuple(sorted(range(P.n_cols), key=P.col_labels.__getitem__))
+    pivots = _pivot_pairing(row_order, col_order, P.column_dicts(), P.field)
     # pivot rows are cleared above their pivot (admissible row additions)
-    columns = []
-    for j, col in enumerate(reduced):
-        if col:
-            r = max(col)
-            columns.append(((r, col[r]),))
-        else:
-            columns.append(())
+    columns = [()] * P.n_cols
+    for r, (j, v) in pivots.items():
+        columns[j] = ((r, v),)
     pres = Presentation(
         P.field, 1,
         tuple(P.row_labels[i] for i in row_order),
         tuple(P.col_labels[j] for j in col_order),
         tuple(columns))
-    return NormalForm(pres, {j: r for r, j in pivots.items()}, row_order, col_order)
+    return NormalForm(pres, {j: r for r, (j, _) in pivots.items()}, row_order, col_order)
 
 
 def barcode_of(P: Presentation) -> Barcode:

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .errors import (ChainError, ComputationError, DataError, PairingError,
                      SubdivisionLimitError)
-from .grades import (Extended, Grade, PExp, as_pexp, is_inf, labels_pnorm,
-                     labels_pnorm_power, pexp_integral)
+from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
+                     labels_pnorm, labels_pnorm_power, pexp_integral)
 from .matchdist import DistanceReport, approx_matching_distance
 from .presentation import Presentation, hilbert_dim, labels
 
@@ -56,10 +56,7 @@ def _pad_label(P: Presentation, partner: Presentation) -> Grade:
     pool = labels(P) or labels(partner)
     if not pool:
         return tuple(Fraction(0) for _ in range(P.n_params))
-    out = pool[0]
-    for g in pool[1:]:
-        out = tuple(max(a, b) for a, b in zip(out, g))
-    return out
+    return join_all(pool)
 
 
 def _padded(P: Presentation, n_pairs: int, n_zero: int, label: Grade) -> Presentation:

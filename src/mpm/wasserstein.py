@@ -4,7 +4,9 @@ A bar [a1, a2) is identified with the point (a1, a2); unmatched bars pay
 the lp-distance to their diagonal projection m(a).  The convention
 inf - inf = 0 makes a matched pair of essential bars cost only the birth
 difference, while an unmatched essential bar (or an essential bar
-matched to a finite one) costs inf.
+matched to a finite one) costs inf.  matching_cost prices a given
+matching from these terms' coordinate differences (_cost_terms) with
+grades.vec_pnorm and vec_pnorm_power.
 
 Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .barcode import Bar, Barcode
+from .barcode import Barcode
 from .errors import ComputationError, DataError
-from .grades import (INF, Extended, PExp, abs_power, as_pexp, ext_abs_diff,
-                     is_inf, pexp_integral, pth_root)
+from .grades import (INF, Extended, PExp, as_pexp, ext_abs_diff, is_inf,
+                     pexp_integral, pth_root, vec_pnorm, vec_pnorm_power)
 
 
 @dataclass(frozen=True)
@@ -50,32 +52,28 @@ class WassersteinResult:
 
 
 # ---------------------------------------------------------------------------
-# bar costs
+# the cost of a matching
 
-def _pair_power(a: Bar, b: Bar, p: PExp) -> Extended:
-    d1 = abs(a[0] - b[0])
-    d2 = ext_abs_diff(a[1], b[1])
-    if is_inf(d2):
-        return INF
-    return abs_power(d1, p) + abs_power(d2, p)
+def _cost_terms(B: Barcode, C: Barcode, sigma: Matching) -> list:
+    """The terms of cost(sigma, p) as coordinate differences.
 
-
-def _diag_power(a: Bar, p: PExp) -> Extended:
-    if is_inf(a[1]):
-        return INF
-    half = (a[1] - a[0]) / 2
-    return 2 * abs_power(half, p)
-
-
-def _pair_inf(a: Bar, b: Bar) -> Extended:
-    d2 = ext_abs_diff(a[1], b[1])
-    if is_inf(d2):
-        return INF
-    return max(abs(a[0] - b[0]), d2)
-
-
-def _diag_inf(a: Bar) -> Extended:
-    return INF if is_inf(a[1]) else (a[1] - a[0]) / 2
+    A matched pair gives (|birth difference|, |death difference|), with
+    inf - inf = 0; an unmatched bar gives (h, h), where h is its
+    l-inf distance to the diagonal (inf for an essential bar).  The term
+    costs its lp-norm.
+    """
+    for i, j in sigma.pairs:
+        if not (0 <= i < len(B) and 0 <= j < len(C)):
+            raise DataError(f"matching pair ({i}, {j}) out of range")
+    terms = [(abs(B[i][0] - C[j][0]), ext_abs_diff(B[i][1], C[j][1]))
+             for i, j in sigma.pairs]
+    for bars, matched in ((B, {i for i, _ in sigma.pairs}),
+                          (C, {j for _, j in sigma.pairs})):
+        for k, (birth, death) in enumerate(bars):
+            if k not in matched:
+                h = INF if is_inf(death) else (death - birth) / 2
+                terms.append((h, h))
+    return terms
 
 
 def matching_cost_power(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
@@ -83,30 +81,12 @@ def matching_cost_power(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Ext
     p = as_pexp(p)
     if is_inf(p):
         raise DataError("matching_cost_power requires finite p")
-    matched_b = set()
-    matched_c = set()
     total: Extended = Fraction(0)
-    for i, j in sigma.pairs:
-        if not (0 <= i < len(B) and 0 <= j < len(C)):
-            raise DataError(f"matching pair ({i}, {j}) out of range")
-        matched_b.add(i)
-        matched_c.add(j)
-        term = _pair_power(B[i], C[j], p)
-        if is_inf(term):
+    for term in _cost_terms(B, C, sigma):
+        power = vec_pnorm_power(term, p)
+        if is_inf(power):
             return INF
-        total = total + term
-    for i in range(len(B)):
-        if i not in matched_b:
-            term = _diag_power(B[i], p)
-            if is_inf(term):
-                return INF
-            total = total + term
-    for j in range(len(C)):
-        if j not in matched_c:
-            term = _diag_power(C[j], p)
-            if is_inf(term):
-                return INF
-            total = total + term
+        total = total + power
     return total
 
 
@@ -114,22 +94,8 @@ def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
     """cost(sigma, p): lp-aggregated matched and diagonal terms."""
     p = as_pexp(p)
     if is_inf(p):
-        best: Extended = Fraction(0)
-        matched_b = set()
-        matched_c = set()
-        for i, j in sigma.pairs:
-            if not (0 <= i < len(B) and 0 <= j < len(C)):
-                raise DataError(f"matching pair ({i}, {j}) out of range")
-            matched_b.add(i)
-            matched_c.add(j)
-            best = max(best, _pair_inf(B[i], C[j]))
-        for i in range(len(B)):
-            if i not in matched_b:
-                best = max(best, _diag_inf(B[i]))
-        for j in range(len(C)):
-            if j not in matched_c:
-                best = max(best, _diag_inf(C[j]))
-        return best
+        return max((vec_pnorm(term, p) for term in _cost_terms(B, C, sigma)),
+                   default=Fraction(0))
     power = matching_cost_power(B, C, sigma, p)
     if is_inf(power):
         return INF

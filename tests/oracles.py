@@ -4,8 +4,10 @@ Everything here is deliberately naive: dense row reduction over F_q,
 dense nullspace dimensions, brute-force sampling of line charts in
 scaled integer arithmetic, and an exhaustive search over all matchings
 of two barcodes.  None of it shares code with the package's
-sparse/echelon machinery or its assignment solvers; the matching search
-reuses only the per-bar cost terms.
+sparse/echelon machinery or its assignment solvers, and it imports no
+private name of the package; the matching search prices each matched
+or diagonal term with the public matching_cost / matching_cost_power
+on one-bar barcodes.
 """
 from __future__ import annotations
 
@@ -13,10 +15,10 @@ from fractions import Fraction
 from math import gcd
 
 from mpm import (INF, Barcode, DataError, Extended, Matching, PExp, Presentation,
-                 WassersteinResult, as_pexp, grade_leq, labels)
+                 WassersteinResult, as_pexp, grade_leq, labels, matching_cost,
+                 matching_cost_power)
 from mpm.grades import is_inf, pexp_integral, pth_root
 from mpm.matchdist import ParamBox
-from mpm.wasserstein import _diag_inf, _diag_power, _pair_inf, _pair_power
 
 
 def dense_rank(rows: list[list[int]], q: int) -> int:
@@ -176,9 +178,16 @@ def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
         raise DataError("brute force limited to |B| + |C| <= 12 bars")
     nb, nc = len(B), len(C)
     use_max = is_inf(p)
+    price = matching_cost if use_max else matching_cost_power
 
-    diag_b = [_diag_inf(B[i]) if use_max else _diag_power(B[i], p) for i in range(nb)]
-    diag_c = [_diag_inf(C[j]) if use_max else _diag_power(C[j], p) for j in range(nc)]
+    # every term priced once, as the cost of a matching of one-bar barcodes
+    singles_b = [Barcode([bar]) for bar in B]
+    singles_c = [Barcode([bar]) for bar in C]
+    unmatched = Matching(frozenset())
+    matched = Matching(frozenset({(0, 0)}))
+    diag_b = [price(b, Barcode(), unmatched, p) for b in singles_b]
+    diag_c = [price(c, Barcode(), unmatched, p) for c in singles_c]
+    pair_term = [[price(b, c, matched, p) for c in singles_c] for b in singles_b]
 
     best: dict = {"val": INF, "pairs": frozenset()}
 
@@ -210,7 +219,7 @@ def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
         for j in range(nc):
             if j in used_c:
                 continue
-            term = _pair_inf(B[i], C[j]) if use_max else _pair_power(B[i], C[j], p)
+            term = pair_term[i][j]
             if is_inf(term):
                 continue
             used_c.add(j)

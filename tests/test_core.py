@@ -202,3 +202,14 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_oracles_import_no_private_package_names():
+    # the oracles check the package, so they must not reuse its internals
+    path = Path(__file__).with_name("oracles.py")
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "mpm"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -41,6 +41,9 @@ def test_limit_line_push():
     assert push(LimitLine(0, (2, 0)), (5, 100)) == 3
     assert push(LimitLine(0, (2, 0)), (1, 100)) == 0
     assert push(LimitLine(1, (0, 3)), (100, 5)) == 2
+    for axis, w in ((2, (0, 0)), (1, (3,))):
+        with pytest.raises(DataError):
+            LimitLine(axis, w)
 
 
 def test_restrict_examples(pres_f):

@@ -4,14 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (AdmissibleLine, INF, LimitLine, LineParam,
+from mpm import (AdmissibleLine, INF, ComputationError, LimitLine, LineParam,
                  ParamBox, SubdivisionLimitError, approx_matching_distance,
                  barcode_along_line, free_presentation,
                  line_of_param, local_bound, push, push_param,
                  sampled_lower_bound, wasserstein)
+from mpm import matchdist
 from mpm.field import PrimeField
+from mpm.lines import _pushes
 from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _line_value,
-                           _pushes, label_deviation)
+                           label_deviation)
 from mpm.presentation import Presentation, labels
 
 from oracles import box_sample_max_power
@@ -343,3 +345,12 @@ def test_report_argmax_line_is_usable(pres_f, pres_g):
     value = wasserstein(barcode_along_line(pres_f, line),
                         barcode_along_line(pres_g, line), 1)
     assert value == rep.lower
+
+
+def test_exact_lower_above_float_upper_raises(pres_f, pres_g, monkeypatch):
+    # the exact re-evaluation of the lower bound is checked against the
+    # float upper bound before the report takes their max
+    report = approx_matching_distance(pres_f, pres_g, 1, F(1, 4))
+    monkeypatch.setattr(matchdist, "wasserstein", lambda B, C, p: report.upper + 1)
+    with pytest.raises(ComputationError):
+        approx_matching_distance(pres_f, pres_g, 1, F(1, 4))

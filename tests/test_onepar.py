@@ -56,6 +56,29 @@ def test_reduce_requires_one_parameter(pres_f):
         reduce_to_normal_form(pres_f)
 
 
+def test_normal_form_over_f3_and_f5():
+    # odd fields have non-unit pivots, which the normal form must keep
+    rng = random.Random(59)
+    non_unit = 0
+    for q in (3, 5):
+        for _ in range(40):
+            P = random_presentation(rng, n_params=1, max_rows=6, max_cols=6,
+                                    field=PrimeField(q))
+            nf = reduce_to_normal_form(P)
+            R = nf.presentation
+            entries = [(r, j, v) for j, col in enumerate(R.columns) for r, v in col]
+            assert all(len(col) <= 1 for col in R.columns)
+            assert len({r for r, _, _ in entries}) == len(entries)
+            assert nf.pivots == {j: r for r, j, _ in entries}
+            non_unit += sum(1 for _, _, v in entries if v != 1)
+            bars = [(R.row_labels[r][0], R.col_labels[j][0]) for r, j, _ in entries]
+            bars = [(b, d) for b, d in bars if b != d]
+            bars += [(R.row_labels[r][0], INF) for r in range(R.n_rows)
+                     if r not in nf.pivots.values()]
+            assert Barcode(bars) == barcode_of(P)
+    assert non_unit > 0
+
+
 def test_barcode_examples():
     assert barcode_of(pres1([0, 0], [2], [{0: 1, 1: 1}])) == Barcode([(0, 2), (0, INF)])
     assert barcode_of(pres1([3], [], [])) == Barcode([(3, INF)])
