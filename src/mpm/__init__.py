@@ -7,9 +7,8 @@ pipeline (kernel bases, grade injections, the lifting construction).
 """
 
 from .barcode import Bar, Barcode, parse_barcode, serialize_barcode
-from .cellular import (FilteredComplex, FreeMorphism, KernelBasis,
-                       boundary_morphism, grade_injections,
-                       homology_presentation, kernel_basis,
+from .cellular import (FilteredComplex, KernelBasis, boundary_morphism,
+                       grade_injections, homology_presentation, kernel_basis,
                        lift_presentations, parse_complex, serialize_complex)
 from .errors import (ChainError, ComputationError, DataError, PairingError,
                      ParseError, SubdivisionLimitError)

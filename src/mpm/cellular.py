@@ -6,11 +6,12 @@ colexicographically ordered domain basis (pairwise distinct leading
 components): the columns are swept once per distinct y-grade, in
 ascending x within the sweep, reducing images against a fresh echelon
 whose combinations are tracked; a column whose image dies yields a
-syzygy whose grade is the join of its support grades.  A candidate is
-kept only if it is outside the span of the already-emitted generators
-at its own grade (a single colex pass would emit wrong grades: three
-columns hitting one generator at grades (0,2), (2,0), (1,1) must
-produce kernel generators at (2,1) and (1,2), not (2,2)).
+syzygy whose grade is the join of its support grades.  Only the first
+death of a column is kept: a column that died in an earlier sweep dies
+again and adds nothing, so later sweeps skip it (a single colex pass
+would emit wrong grades: three columns hitting one generator at grades
+(0,2), (2,0), (1,1) must produce kernel generators at (2,1) and (1,2),
+not (2,2)).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError, ParseError
+from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
 from .fpm import _keyword_int, _Lines
 from .grades import (Grade, format_grade, grade_leq, join_all, parse_grade,
@@ -97,9 +98,6 @@ class FilteredComplex:
             if any(acc.values()):
                 raise DataError(f"boundary of boundary of {cid} is nonzero")
 
-    def grade_of(self, cid: str) -> Grade:
-        return self.cells[self._index[cid]][2]
-
     def cells_of_dim(self, dim: int) -> list[Cell]:
         return [c for c in self.cells if c[1] == dim]
 
@@ -138,36 +136,13 @@ class FilteredComplex:
 
 
 # ---------------------------------------------------------------------------
-# free morphisms
+# boundary maps
 
-@dataclass(frozen=True)
-class FreeMorphism:
-    """Matrix of a morphism of free modules, with basis grades."""
+def boundary_morphism(X: FilteredComplex, j: int) -> Presentation:
+    """Matrix of the j-th boundary map of the associated chain complex.
 
-    field: PrimeField
-    n_params: int
-    codomain_grades: tuple[Grade, ...]  # row grades
-    domain_grades: tuple[Grade, ...]    # column grades
-    columns: tuple[Column, ...]
-
-    def __post_init__(self):
-        pres = self.to_presentation()  # validates entries and label order
-        object.__setattr__(self, "columns", pres.columns)
-        object.__setattr__(self, "codomain_grades", pres.row_labels)
-        object.__setattr__(self, "domain_grades", pres.col_labels)
-
-    def to_presentation(self) -> Presentation:
-        return Presentation(self.field, self.n_params,
-                            tuple(self.codomain_grades),
-                            tuple(self.domain_grades),
-                            tuple(self.columns))
-
-    def column_dicts(self) -> list[SparseCol]:
-        return [dict(col) for col in self.columns]
-
-
-def boundary_morphism(X: FilteredComplex, j: int) -> FreeMorphism:
-    """Matrix of the j-th boundary map of the associated chain complex."""
+    Rows are the (j-1)-cells, columns the j-cells, each labeled by its grade.
+    """
     if j < 0:
         raise DataError("boundary degree must be nonnegative")
     rows = X.cells_of_dim(j - 1) if j >= 1 else []
@@ -179,7 +154,7 @@ def boundary_morphism(X: FilteredComplex, j: int) -> FreeMorphism:
         for fid, coeff in X.boundary[cid]:
             entries[row_pos[fid]] = (entries.get(row_pos[fid], 0) + coeff) % X.field.q
         columns.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
-    return FreeMorphism(X.field, X.n_params,
+    return Presentation(X.field, X.n_params,
                         tuple(g for _, _, g in rows),
                         tuple(g for _, _, g in cols),
                         tuple(columns))
@@ -197,7 +172,6 @@ class KernelBasis:
     its support; leads[i] the colex-largest support index.
     """
 
-    domain_grades: tuple[Grade, ...]
     grades: tuple[Grade, ...]
     columns: tuple[Column, ...]
     leads: tuple[int, ...]
@@ -231,7 +205,7 @@ def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
     q = field.q
     while True:
         if not elem.vec:
-            raise AssertionError("basis element reduced to zero")
+            raise ComputationError("basis element reduced to zero")
         lead = max(elem.vec, key=lambda t: rank[t])
         other = by_lead.get(lead)
         if other is None:
@@ -241,100 +215,99 @@ def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
             factor = elem.vec[lead] * field.inv(other.vec[lead]) % q
             col_axpy(elem.vec, factor, other.vec, q)
             if elem.vec and _support_grade(elem.vec, grades) != elem.grade:
-                raise AssertionError("lead reduction changed a basis grade")
+                raise ComputationError("lead reduction changed a basis grade")
         elif grade_leq(elem.grade, other.grade):
             by_lead[lead] = elem
             elem = other
         else:
-            raise AssertionError("incomparable grades share a leading component")
+            raise ComputationError("incomparable grades share a leading component")
 
 
-def kernel_basis(gamma: FreeMorphism) -> KernelBasis:
-    """Groebner kernel basis for a morphism with n_params in {1, 2}."""
-    dg = gamma.domain_grades
+def kernel_basis(gamma: Presentation) -> KernelBasis:
+    """Groebner kernel basis for a morphism with n_params in {1, 2}.
+
+    gamma maps the free module on its columns to the one on its rows.
+    Sweep y, one per column y-grade (one sweep of all columns for one
+    parameter), reduces the images of the columns of y-grade <= y in
+    (x, index) order.  A column dies when its image reduces to zero, and
+    its syzygy ends at the column in that order.  Only first deaths are
+    kept; later sweeps skip dead columns, which leaves each echelon as
+    it was, since a zero residual adds no pivot.  This keeps exactly the
+    syzygies outside the span of the earlier generators of no larger
+    grade (lead reduction keeps these spans):
+
+    (a) dead columns stay dead: for y' < y, sweep y's order contains
+        sweep y''s columns in the same relative order;
+    (b) a first death of column j in sweep y has grade (x_j, y), and no
+        combination of earlier generators, first deaths of other
+        columns, ends at j;
+    (c) a repeat death w of j is in that span: grade(w) >= grade(v) for
+        j's first death v (else j died earlier), so w - v is a kernel
+        vector of grade <= grade(w) ending before j; the column it ends
+        at has a first death of no larger grade, and subtracting those,
+        by induction on the end, leaves 0.
+
+    Each kept syzygy is lead-reduced in colex order (reversed grade,
+    then index) as it is found; leads[i] is its colex lead.
+    """
+    dg = gamma.col_labels
     k = len(dg)
     field = gamma.field
     colex_order = sorted(range(k), key=lambda i: (tuple(reversed(dg[i])), i))
     rank = {i: r for r, i in enumerate(colex_order)}
     cols = gamma.column_dicts()
-
-    if gamma.n_params == 1:
-        slices: list = [None]
-    else:
-        slices = sorted({g[1] for g in dg})
+    slices = sorted({g[1] for g in dg}) if gamma.n_params == 2 else [None]
 
     emitted: list[_Elem] = []
     by_lead: dict[int, _Elem] = {}
+    dead: set[int] = set()
     for y in slices:
-        if y is None:
-            active = sorted(range(k), key=lambda i: (dg[i], i))
-        else:
-            active = sorted((i for i in range(k) if dg[i][1] <= y),
-                            key=lambda i: (dg[i][0], i))
+        active = sorted((i for i in range(k)
+                         if i not in dead and (y is None or dg[i][1] <= y)),
+                        key=lambda i: (dg[i][0], i))
         ech = ColumnEchelon(field, track=True)
         for i in active:
             res, combo = ech.insert(cols[i], tag=i)
             if res:
                 continue
+            dead.add(i)
             vec: SparseCol = {i: 1}
-            for t, v in combo.items():
-                w = (vec.get(t, 0) - v) % field.q
-                if w:
-                    vec[t] = w
-                else:
-                    vec.pop(t, None)
-            grade = _support_grade(vec, dg)
-            span = ColumnEchelon(field)
-            for e in emitted:
-                if grade_leq(e.grade, grade):
-                    span.insert(dict(e.vec))
-            if span.contains(vec):
-                continue
-            elem = _Elem(vec, grade)
+            vec.update((t, -v % field.q) for t, v in combo.items())
+            elem = _Elem(vec, _support_grade(vec, dg))
             _place_distinct_lead(elem, by_lead, rank, dg, field)
             emitted.append(elem)
     lead_of = {id(e): lead for lead, e in by_lead.items()}
     return KernelBasis(
-        dg,
         tuple(e.grade for e in emitted),
         tuple(tuple(sorted(e.vec.items())) for e in emitted),
         tuple(lead_of[id(e)] for e in emitted))
 
 
-def grade_injections(gamma: FreeMorphism, C: KernelBasis):
+def grade_injections(gamma: Presentation, C: KernelBasis):
     """Injective maps j_x, j_y from kernel elements to domain basis indices.
 
-    j_y(c) is the colex leading component of a lead-reduced copy of the
-    basis (its y-grade equals c's); j_x mirrors it with the roles of the
-    coordinates swapped (lex order).  Returns (j_x, j_y) as tuples of
-    domain indices parallel to C.
+    j_y(c) is the colex leading component of c (its y-grade equals c's):
+    C.leads, as kernel_basis lead-reduces in colex order.  j_x mirrors it
+    with the coordinates swapped, on a copy of the basis lead-reduced in
+    lex order.  Returns (j_x, j_y) as tuples of domain indices parallel
+    to C.
     """
     if gamma.n_params != 2:
         raise DataError("grade injections are defined for 2-parameter morphisms")
-    dg = gamma.domain_grades
-    k = len(dg)
-    field = gamma.field
-
-    def side(rank_key, coord: int) -> tuple[int, ...]:
-        rank = {i: r for r, i in enumerate(sorted(range(k), key=rank_key))}
-        entries = [_Elem(dict(col), grade) for col, grade in zip(C.columns, C.grades)]
-        by_lead: dict[int, _Elem] = {}
-        for e in entries:
-            _place_distinct_lead(e, by_lead, rank, dg, field)
-        lead_of = {id(e): lead for lead, e in by_lead.items()}
-        out = []
-        for e, grade in zip(entries, C.grades):
-            lead = lead_of[id(e)]
-            if dg[lead][coord] != grade[coord]:
-                raise AssertionError("leading component misses the binding coordinate")
-            out.append(lead)
-        if len(set(out)) != len(out):
-            raise AssertionError("grade injection is not injective")
-        return tuple(out)
-
-    j_y = side(lambda i: (tuple(reversed(dg[i])), i), 1)
-    j_x = side(lambda i: (dg[i], i), 0)
-    return j_x, j_y
+    dg = gamma.col_labels
+    rank = {i: r for r, i in enumerate(sorted(range(len(dg)), key=lambda i: (dg[i], i)))}
+    entries = [_Elem(dict(col), grade) for col, grade in zip(C.columns, C.grades)]
+    by_lead: dict[int, _Elem] = {}
+    for e in entries:
+        _place_distinct_lead(e, by_lead, rank, dg, gamma.field)
+    lead_of = {id(e): lead for lead, e in by_lead.items()}
+    j_x = tuple(lead_of[id(e)] for e in entries)
+    for leads, coord in ((C.leads, 1), (j_x, 0)):
+        if any(dg[lead][coord] != grade[coord] for lead, grade in zip(leads, C.grades)):
+            raise ComputationError("leading component misses the binding coordinate")
+        if len(set(leads)) != len(leads):
+            raise ComputationError("grade injection is not injective")
+    return j_x, C.leads
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +333,7 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
         coords = ech.solve(dict(col))  # unique: kernel columns are independent
         columns.append(tuple(sorted(coords.items())))
     return Presentation(X.field, X.n_params, K.grades,
-                        gamma_up.domain_grades, tuple(columns))
+                        gamma_up.col_labels, tuple(columns))
 
 
 def lift_presentations(P_M: Presentation, P_N: Presentation):

@@ -17,11 +17,13 @@ from .barcode import parse_barcode, serialize_barcode
 from .cellular import (homology_presentation, lift_presentations,
                        parse_complex, serialize_complex)
 from .errors import ComputationError, DataError, SubdivisionLimitError
+from .field import PrimeField
 from .fixtures import (random_barcode, random_monotone_complex,
                        random_paired_presentations, random_presentation)
 from .fpm import parse_presentation, serialize_presentation
 from .grades import format_pexp, format_rat, is_inf, parse_pexp, rat
-from .lines import LimitLine, barcode_along_line, parse_line
+from .lines import (LimitLine, barcode_along_line, parse_line,
+                    restrict_presentation)
 from .matchdist import approx_matching_distance
 from .onepar import barcode_of
 from .presentation import hilbert_dim
@@ -190,7 +192,6 @@ def _cmd_barcode(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    from .lines import restrict_presentation
     P = parse_presentation(_read(args.module))
     out = restrict_presentation(P, parse_line(args.line))
     _write_out(serialize_presentation(out), args.output)
@@ -294,7 +295,6 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    from .field import PrimeField
     field = PrimeField(args.field)
     if args.kind == "presentation":
         P = random_presentation(rng, n_params=args.params, max_rows=args.rows,

@@ -2,7 +2,7 @@
 
 Field elements are plain ints in [0, q); columns are dicts mapping row
 index to a nonzero residue.  :class:`ColumnEchelon` is the one
-elimination engine used for ranks, span-membership tests, expressing
+elimination engine used for ranks, kernel bases (cellular), expressing
 vectors in a recorded basis and the 1-parameter pivot pairing behind
 barcodes and the graded normal form (onepar).
 """
@@ -139,10 +139,6 @@ class ColumnEchelon:
             self._table[max(res)] = (res, expr)
             self.rank += 1
         return res, combo
-
-    def contains(self, col: SparseCol) -> bool:
-        res, _ = self.reduce(col)
-        return not res
 
     def solve(self, col: SparseCol) -> SparseCol:
         """Coordinates of col in the inserted columns; DataError if outside."""

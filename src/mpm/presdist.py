@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import (ChainError, ComputationError, DataError, PairingError,
                      SubdivisionLimitError)
+from .field import column_rank
 from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
                      labels_pnorm, labels_pnorm_power, pexp_integral)
 from .matchdist import DistanceReport, approx_matching_distance
@@ -159,7 +160,6 @@ def _uniform_borrow(Pp: Presentation, Qp: Presentation):
     which depends on the matrix only through its rank, so any equal-rank
     matrix of the same shape presents the same module.
     """
-    from .field import column_rank
     out = []
     for A, B in ((Pp, Qp), (Qp, Pp)):
         g = _uniform_label(A)

@@ -10,15 +10,14 @@ import sys
 import time
 from fractions import Fraction as F
 
-from mpm import (AdmissibleLine, PairedPresentations, PrimeField,
-                 approx_matching_distance, barcode_along_line, barcode_of,
-                 chain_upper_bound, grade_injections,
+from mpm import (AdmissibleLine, PairedPresentations, Presentation,
+                 PrimeField, approx_matching_distance, barcode_along_line,
+                 barcode_of, chain_upper_bound, grade_injections,
                  hilbert_dim, homology_presentation, kernel_basis,
                  label_distance, label_distance_power, labels,
                  lift_presentations, pad_and_pair, push, rank_invariant,
                  sampled_lower_bound, wasserstein,
                  wasserstein_power)
-from mpm.cellular import FreeMorphism
 from mpm.grades import grade_leq, join_all, vec_pnorm, vec_pnorm_power
 from mpm.matchdist import LineParam, ParamBox, label_deviation, line_of_param
 from mpm.fixtures import (random_barcode, random_monotone_complex,
@@ -229,7 +228,7 @@ def test_c08_kernel_suite(report):
                  if rng.random() < 0.3} for _ in range(n_cols)]
         col_grades = tuple((F(rng.randrange(0, 9)), F(rng.randrange(0, 9)))
                            for _ in range(n_cols))
-        gamma = FreeMorphism(field, 2, ((F(0), F(0)),) * n_rows, col_grades,
+        gamma = Presentation(field, 2, ((F(0), F(0)),) * n_rows, col_grades,
                              tuple(tuple(sorted(c.items())) for c in cols))
         K = kernel_basis(gamma)
         for grade, col in zip(K.grades, K.columns):

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (DataError, FilteredComplex, FreeMorphism, ParseError,
+from mpm import (DataError, FilteredComplex, ParseError, Presentation,
                  PrimeField, boundary_morphism,
                  grade_injections, hilbert_dim, homology_presentation,
                  kernel_basis, lift_presentations, parse_complex,
                  serialize_complex)
-from mpm.grades import join_all
+from mpm.grades import grade_leq, join_all
 from mpm.lines import AdmissibleLine
 from mpm.fixtures import random_monotone_complex
 
@@ -19,7 +19,7 @@ F5 = PrimeField(5)
 
 
 def fm(field, n_params, rows, cols, columns):
-    return FreeMorphism(field, n_params,
+    return Presentation(field, n_params,
                         tuple(tuple(F(c) for c in g) for g in rows),
                         tuple(tuple(F(c) for c in g) for g in cols),
                         tuple(tuple(sorted(col.items())) for col in columns))
@@ -27,15 +27,15 @@ def fm(field, n_params, rows, cols, columns):
 
 def test_boundary_matrix_of_fig_complex(fig_complex_f):
     d1 = boundary_morphism(fig_complex_f, 1)
-    assert d1.codomain_grades == ((F(0), F(0)), (F(0), F(0)))
-    assert d1.domain_grades == ((F(1), F(4)), (F(3), F(3)), (F(4), F(1)))
+    assert d1.row_labels == ((F(0), F(0)), (F(0), F(0)))
+    assert d1.col_labels == ((F(1), F(4)), (F(3), F(3)), (F(4), F(1)))
     assert d1.columns == (((0, 1), (1, 1)),) * 3
 
 
 def test_boundary_of_single_vertex():
     X = FilteredComplex(F2, 2, [("v", 0, (0, 0))], {})
     d1 = boundary_morphism(X, 1)
-    assert d1.codomain_grades == ((F(0), F(0)),) and d1.domain_grades == ()
+    assert d1.row_labels == ((F(0), F(0)),) and d1.col_labels == ()
 
 
 def test_monotonicity_validated():
@@ -102,6 +102,8 @@ def test_kernel_randomized_against_dense_nullspace():
             want = dense_nullity_at(col_grades, cols, n_rows, field.q, g)
             got = span_dim_at(K.grades, K.columns, n_cols, field.q, g)
             assert got == want
+            # freeness: no redundant generator at or below g
+            assert sum(grade_leq(c, g) for c in K.grades) == want
         # Groebner property
         assert len(set(K.leads)) == len(K.leads)
 
@@ -140,8 +142,8 @@ def test_grade_injections_random_coordinate_equalities():
         jx, jy = grade_injections(gamma, K)
         assert len(set(jx)) == len(jx) and len(set(jy)) == len(jy)
         for i in range(len(K)):
-            assert gamma.domain_grades[jx[i]][0] == K.grades[i][0]
-            assert gamma.domain_grades[jy[i]][1] == K.grades[i][1]
+            assert gamma.col_labels[jx[i]][0] == K.grades[i][0]
+            assert gamma.col_labels[jy[i]][1] == K.grades[i][1]
 
 
 def test_homology_of_fig_complex(fig_complex_f, fig_complex_g, pres_f, pres_g):
@@ -193,7 +195,6 @@ def test_lift_identical_presentations(pres_f):
 
 
 def test_lift_disk():
-    from mpm import Presentation
     P = Presentation(F2, 2, ((0, 0),), ((1, 1),), (((0, 1),),))
     X, f, g = lift_presentations(P, P)
     H1 = homology_presentation(X, 1)
@@ -231,10 +232,10 @@ def test_homology_dims_match_dense_oracle():
             dj1 = boundary_morphism(X, j + 1)
             for _ in range(6):
                 g = (F(rng.randrange(0, 10)), F(rng.randrange(0, 10)))
-                null_j = dense_nullity_at(dj.domain_grades, dj.column_dicts(),
-                                          len(dj.codomain_grades), field.q, g)
-                rank_j1 = dense_rank_at(dj1.domain_grades, dj1.column_dicts(),
-                                        len(dj1.codomain_grades), field.q, g)
+                null_j = dense_nullity_at(dj.col_labels, dj.column_dicts(),
+                                          len(dj.row_labels), field.q, g)
+                rank_j1 = dense_rank_at(dj1.col_labels, dj1.column_dicts(),
+                                        len(dj1.row_labels), field.q, g)
                 assert hilbert_dim(H, g) == null_j - rank_j1
 
 
