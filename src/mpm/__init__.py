@@ -18,8 +18,7 @@ from .grades import (INF, Extended, Grade, PExp, as_pexp, format_rat,
                      grade_join, grade_leq, parse_pexp, rat,
                      vec_pnorm, vec_pnorm_power)
 from .lines import (AdmissibleLine, LimitLine, barcode_along_line,
-                    canonicalize_line, parse_line, push,
-                    restrict_presentation)
+                    parse_line, push, restrict_presentation)
 from .matchdist import (DistanceReport, LineParam, ParamBox,
                         approx_matching_distance, label_deviation,
                         line_of_param, local_bound, push_param,
@@ -27,7 +26,7 @@ from .matchdist import (DistanceReport, LineParam, ParamBox,
 from .onepar import (NormalForm, barcode_of, interpolation_breakpoints,
                      reduce_to_normal_form)
 from .presentation import (Presentation, free_presentation, hilbert_dim,
-                           labels, labels1d, rank_invariant)
+                           labels, rank_invariant)
 from .presdist import (BoundsReport, PairedPresentations, bounds,
                        chain_upper_bound, hilbert_spot_grid, label_distance,
                        label_distance_power, modules_agree, pad_and_pair)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
-from .fpm import _keyword_int, _Lines
+from .fpm import _keyword_int, _Lines, _params_line
 from .grades import (Grade, format_grade, grade_leq, join_all, parse_grade,
                      rat, show_grade)
 from .presentation import Column, Presentation, labels
@@ -392,7 +392,7 @@ def parse_complex(text: str) -> FilteredComplex:
         field = PrimeField(q)
     except DataError as exc:
         raise ParseError(str(exc), lineno) from exc
-    _, n_params = _keyword_int(lines, "params")
+    n_params = _params_line(lines)
     cells = []
     boundary = {}
     while not lines.done():

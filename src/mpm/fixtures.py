@@ -127,18 +127,6 @@ def random_monotone_complex(rng: random.Random, n_vertices: int = 8,
     return FilteredComplex.from_simplices(field, n_params, simplices)
 
 
-def random_refiltration(rng: random.Random, X: FilteredComplex,
-                        span: int = 6, denom: int = 2) -> dict[str, Grade]:
-    """A fresh monotone grade map on the cells of an existing complex."""
-    grades: dict[str, Grade] = {}
-    for cid, dim, _ in sorted(X.cells, key=lambda c: c[1]):
-        faces = [grades[fid] for fid, _ in X.boundary[cid]]
-        base = join_all(faces) if faces else _rand_grade(rng, X.n_params, span, denom)
-        grades[cid] = tuple(x + y for x, y in zip(
-            base, _bump(rng, X.n_params, span // 2 or 1, denom)))
-    return grades
-
-
 def perturbed_refiltration(rng: random.Random, X: FilteredComplex,
                            scale: Fraction = Fraction(1, 2),
                            denom: int = 4) -> dict[str, Grade]:

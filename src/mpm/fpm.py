@@ -55,6 +55,14 @@ def _keyword_int(lines: _Lines, keyword: str) -> tuple[int, int]:
         raise ParseError(f"bad integer {toks[1]!r}", lineno) from exc
 
 
+def _params_line(lines: _Lines) -> int:
+    """The value of a 'params <n>' line, which must be 1 or 2."""
+    lineno, n_params = _keyword_int(lines, "params")
+    if n_params not in (1, 2):
+        raise ParseError(f"params must be 1 or 2, got {n_params}", lineno)
+    return n_params
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse an ``.fpm`` document into a validated Presentation."""
     lines = _Lines(text)
@@ -66,11 +74,11 @@ def parse_presentation(text: str) -> Presentation:
         fld = PrimeField(q)
     except DataError as exc:
         raise ParseError(str(exc), lineno) from exc
-    lineno, n_params = _keyword_int(lines, "params")
-    if n_params not in (1, 2):
-        raise ParseError(f"params must be 1 or 2, got {n_params}", lineno)
+    n_params = _params_line(lines)
 
-    _, n_rows = _keyword_int(lines, "rows")
+    lineno, n_rows = _keyword_int(lines, "rows")
+    if n_rows < 0:
+        raise ParseError(f"rows must be >= 0, got {n_rows}", lineno)
     row_labels = []
     for _ in range(n_rows):
         lineno, line = lines.next("a row label")
@@ -79,7 +87,9 @@ def parse_presentation(text: str) -> Presentation:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from exc
 
-    _, n_cols = _keyword_int(lines, "cols")
+    lineno, n_cols = _keyword_int(lines, "cols")
+    if n_cols < 0:
+        raise ParseError(f"cols must be >= 0, got {n_cols}", lineno)
     col_labels = []
     columns = []
     for _ in range(n_cols):

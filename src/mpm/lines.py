@@ -65,25 +65,6 @@ class LimitLine:
 Line = Union[AdmissibleLine, LimitLine]
 
 
-def canonicalize_line(v_raw, w_raw) -> AdmissibleLine:
-    """Scale the direction to min(v) = 1 and slide the base to min(w) = 0.
-
-    Barcodes of a module along the original and the canonical line agree
-    up to a common parameter translation.
-    """
-    v = tuple(rat(c) for c in v_raw)
-    w = tuple(rat(c) for c in w_raw)
-    if len(v) != 2 or len(w) != 2:
-        raise DataError("expected a direction and base point in the plane")
-    if any(c <= 0 for c in v):
-        raise DataError(f"direction {v} must be strictly positive")
-    scale = min(v)
-    v = (v[0] / scale, v[1] / scale)
-    t0 = min(w[0] / v[0], w[1] / v[1])
-    w = (w[0] - t0 * v[0], w[1] - t0 * v[1])
-    return AdmissibleLine(v, w)
-
-
 def _pushes(label_vec, chart) -> list:
     """Pushes of 2-D labels along one line, given by its chart.
 

@@ -11,7 +11,6 @@ Instances are immutable; every operation returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
@@ -122,13 +121,6 @@ class Presentation:
 def labels(P: Presentation) -> tuple[Grade, ...]:
     """The label vector of P: row labels first, then column labels."""
     return P.row_labels + P.col_labels
-
-
-def labels1d(P: Presentation) -> tuple[Fraction, ...]:
-    """Flat label vector of a 1-parameter presentation."""
-    if P.n_params != 1:
-        raise DataError("labels1d requires a 1-parameter presentation")
-    return tuple(g[0] for g in labels(P))
 
 
 def free_presentation(gens: Iterable[Grade], fld: PrimeField = PrimeField(2),

@@ -13,10 +13,12 @@ themselves, and on a line the sorted pairing is optimal for every
 p >= 1 (and for the bottleneck).  The finite bars go through a
 min-cost assignment on an augmented square matrix (one diagonal ghost
 per bar, ghosts mutually free), solved by shortest augmenting paths in
-exact rational arithmetic; for p = inf a threshold search with a
-maximum bipartite matching is used instead.  bar_distance holds these
-steps once for any number type; the matching-distance search runs it on
-floats.
+exact rational arithmetic.  For p = inf, bottleneck_assignment bisects
+over the candidate costs instead; each probed threshold is feasible
+when a graph with one ghost per bar, each bar reaching only its own
+ghost, has a perfect matching, found by rounds of augmenting-path
+searches.  bar_distance holds these steps once for any number type; the
+matching-distance search runs it on floats.
 """
 from __future__ import annotations
 
@@ -162,50 +164,7 @@ def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# maximum bipartite matching (Hopcroft-Karp), for the bottleneck search
-
-def max_bipartite_matching(n_left: int, n_right: int,
-                           adj: Sequence[Sequence[int]]) -> list[int]:
-    """Hopcroft-Karp; adj[u] lists right neighbors of left node u.
-
-    Returns match_left (right index or -1 per left node).
-    """
-    inf = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    while True:
-        dist = [0 if match_l[u] == -1 else inf for u in range(n_left)]
-        queue = [u for u in range(n_left) if match_l[u] == -1]
-        found = False
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in adj[u]:
-                nxt = match_r[w]
-                if nxt == -1:
-                    found = True
-                elif dist[nxt] == inf:
-                    dist[nxt] = dist[u] + 1
-                    queue.append(nxt)
-        if not found:
-            break
-
-        def dfs(u: int) -> bool:
-            for w in adj[u]:
-                nxt = match_r[w]
-                if nxt == -1 or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                    match_l[u] = w
-                    match_r[w] = u
-                    return True
-            dist[u] = inf
-            return False
-
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-    return match_l
-
+# the bottleneck: a threshold search over perfect matchings
 
 def bottleneck_assignment(pair_cost, diag_left, diag_right):
     """Min over matchings of the max cost term, for finite bars only.
@@ -214,6 +173,34 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     Returns (value, pairs) where pairs matches left to right indices.
     The value is one of the given costs, so it keeps their number type;
     with no bars at all it is the int 0.
+
+    A threshold thr is feasible when some partial matching sigma of the
+    bars has every pair cost <= thr and every unmatched bar's diagonal
+    cost <= thr.  A bisection over the candidate costs finds the least
+    feasible one.  Each probe asks for a perfect matching in a bipartite
+    graph with one ghost per bar.  Left: the m bars of B, then one ghost
+    per bar of C; right: the n bars of C, then one ghost per bar of B.
+    B-bar i reaches C-bar j when pair_cost[i][j] <= thr, and its own
+    ghost n + i when diag_left[i] <= thr.  Left ghost m + k reaches C-bar
+    k when diag_right[k] <= thr, and every right ghost, at no cost.
+
+    The graph has a perfect matching exactly when thr is feasible.  The
+    bar-to-bar edges of a perfect matching form such a sigma: a B-bar
+    outside sigma is matched to its own ghost and a C-bar k outside
+    sigma to left ghost m + k, so their diagonal costs are <= thr.
+    Conversely, given sigma, send each unmatched B-bar to its own ghost
+    and each unmatched C-bar k to left ghost m + k; the |sigma| ghosts
+    left on each side pair up freely.
+
+    A probe starts from a greedy matching (each left node takes its first
+    free neighbour) and runs rounds of augmenting-path searches: a
+    depth-first search from every free left node, all sharing one set of
+    seen right nodes.  In a round that augments nothing the matching
+    stays fixed, and a search skips only right nodes that an earlier
+    search of the round explored in full without reaching a free right
+    node; so no free left node has an augmenting path, and the matching
+    is maximum (Berge).  The search keeps an explicit stack and does not
+    recurse.
     """
     m, n = len(diag_left), len(diag_right)
     if m == 0 and n == 0:
@@ -230,28 +217,58 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     candidates = sorted({c for c in diag + [pair_cost[i][j] for i in range(m)
                                             for j in range(n)]
                          if floor <= c <= ceil})
+    ghosts = range(n, n + m)
 
     def matching_at(thr):
-        # left: bars of B then n ghosts; right: bars of C then m ghosts
-        adj = []
-        for i in range(m):
-            nbrs = [j for j in range(n) if pair_cost[i][j] <= thr]
-            if diag_left[i] <= thr:
-                nbrs.extend(range(n, n + m))
-            adj.append(nbrs)
-        for k in range(n):
-            nbrs = list(range(n, n + m))
-            if diag_right[k] <= thr:
-                nbrs = [k] + nbrs
-            adj.append(nbrs)
-        return max_bipartite_matching(m + n, n + m, adj)
+        """match_left of a perfect matching of the graph at thr, or None."""
+        adj = [[j for j, c in enumerate(row) if c <= thr] + ([n + i] if d <= thr else [])
+               for i, (row, d) in enumerate(zip(pair_cost, diag_left))]
+        adj += [[k, *ghosts] if d <= thr else ghosts for k, d in enumerate(diag_right)]
+        match_l, match_r = [-1] * (m + n), [-1] * (n + m)
+        for u, nbrs in enumerate(adj):
+            for w in nbrs:
+                if match_r[w] == -1:
+                    match_l[u], match_r[w] = w, u
+                    break
+
+        def augment(root, seen):
+            # the path so far: its left nodes, the right nodes after them
+            # and the unexplored edges of each left node
+            lefts, rights, its = [root], [], [iter(adj[root])]
+            while its:
+                for w in its[-1]:
+                    if not seen[w]:
+                        seen[w] = True
+                        rights.append(w)
+                        u = match_r[w]
+                        if u == -1:
+                            for u, w in zip(lefts, rights):
+                                match_l[u], match_r[w] = w, u
+                            return True
+                        lefts.append(u)
+                        its.append(iter(adj[u]))
+                        break
+                else:
+                    its.pop()
+                    lefts.pop()
+                    if rights:
+                        rights.pop()
+            return False
+
+        while True:
+            free = [u for u, w in enumerate(match_l) if w == -1]
+            if not free:
+                return match_l
+            seen = [False] * (n + m)
+            if not sum(augment(u, seen) for u in free):
+                return None
 
     lo, hi = 0, len(candidates) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
         ml = matching_at(candidates[mid])
-        if all(w != -1 for w in ml):
+        if ml is not None:
             best = (candidates[mid], ml)
             hi = mid - 1
         else:

@@ -269,6 +269,10 @@ def test_cwf_bad_field_and_params_lines():
     with pytest.raises(ParseError, match="not prime") as info:
         parse_complex("cwf 1\nfield 4\nparams 2\n")
     assert info.value.line == 2
+    for bad in ("3", "-1"):
+        with pytest.raises(ParseError, match=f"params must be 1 or 2, got {bad}") as info:
+            parse_complex(f"cwf 1\nfield 2\nparams {bad}\nv 0 0 0 :\n")
+        assert info.value.line == 3
 
 
 def test_from_simplices_requires_faces():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -102,6 +103,10 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("fpm 1\nfield 4\nparams 2\nrows 0\ncols 0\n")
     with pytest.raises(ParseError, match="line 3: params must be 1 or 2"):
         parse_presentation("fpm 1\nfield 2\nparams 3\nrows 0\ncols 0\n")
+    with pytest.raises(ParseError, match="line 4: rows must be >= 0, got -2"):
+        parse_presentation("fpm 1\nfield 2\nparams 2\nrows -2\ncols 0\n")
+    with pytest.raises(ParseError, match="line 6: cols must be >= 0, got -1"):
+        parse_presentation("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols -1\n")
 
 
 def test_roundtrip_identity():
@@ -220,3 +225,19 @@ def test_oracles_import_no_private_package_names():
                and (node.module or "").split(".")[0] == "mpm"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_bench_layers_name_existing_functions():
+    # the bench tracer wraps these functions by name; one that is renamed
+    # or deleted silently drops its layer's metrics
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    tree = ast.parse(path.read_text(), str(path))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    missing = [f"{module}.{name}"
+               for entries in layers.values() for module, names in entries
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert layers
+    assert missing == []

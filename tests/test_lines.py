@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from mpm import (AdmissibleLine, Barcode, DataError, INF, LimitLine,
-                 barcode_along_line, canonicalize_line, free_presentation,
+                 barcode_along_line, free_presentation,
                  hilbert_dim, parse_line, push, restrict_presentation,
                  wasserstein)
 from mpm.field import PrimeField
@@ -13,15 +13,6 @@ from mpm.fixtures import random_presentation
 from mpm.grades import vec_pnorm
 
 F2 = PrimeField(2)
-
-
-def test_canonicalize_examples():
-    l1 = canonicalize_line((2, 4), (0, 0))
-    assert l1.v == (F(1), F(2)) and l1.w == (F(0), F(0))
-    l2 = canonicalize_line((1, 1), (3, 1))
-    assert l2.v == (F(1), F(1)) and l2.w == (F(2), F(0))
-    with pytest.raises(DataError):
-        canonicalize_line((0, 1), (0, 0))
 
 
 def test_admissible_line_validation():
@@ -132,7 +123,10 @@ def test_canonicalization_preserves_wasserstein():
         v = (F(1), F(rng.randrange(4, 13), 4))
         w = (F(rng.randrange(1, 9)), F(rng.randrange(1, 9)))
         raw = AdmissibleLine(v, w)
-        canon = canonicalize_line(v, w)
+        # slide the base point along the line to min(w) = 0
+        t0 = min(w[0] / v[0], w[1] / v[1])
+        canon = AdmissibleLine(v, (w[0] - t0 * v[0], w[1] - t0 * v[1]))
+        assert min(canon.w) == 0
         for p in (F(1), math.inf):
             d_raw = wasserstein(barcode_along_line(A, raw),
                                 barcode_along_line(B, raw), p)

@@ -5,14 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from mpm import (Barcode, DataError, INF, PrimeField, Presentation,
-                 barcode_of, free_presentation, interpolation_breakpoints,
-                 labels, rank_invariant, reduce_to_normal_form, wasserstein,
-                 wasserstein_power)
+                 barcode_of, interpolation_breakpoints, labels, rank_invariant,
+                 reduce_to_normal_form, wasserstein, wasserstein_power)
 from mpm.fixtures import (random_matrix, random_paired_presentations,
                           random_presentation)
 from mpm.grades import labels_pnorm_power, vec_pnorm
 from mpm.onepar import barcode_pairs
-from mpm.presentation import labels1d
 
 F2 = PrimeField(2)
 
@@ -203,11 +201,3 @@ def test_breakpoints_separate_order_changes():
                         [vals[i] == vals[j] for i in range(n) for j in range(n)]]
 
             assert order_at(mids[0]) == order_at(mids[1])
-
-
-def test_labels1d_roundtrip():
-    P = pres1([0, 3], [5], [{0: 1}])
-    assert labels1d(P) == (F(0), F(3), F(5))
-    Q = free_presentation([(0, 0)], F2)
-    with pytest.raises(DataError):
-        labels1d(Q)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import traceback
 from fractions import Fraction as F
 
 import pytest
@@ -80,10 +82,40 @@ def test_oracle_equivalence_randomized():
         assert wasserstein(B, C, math.inf) == brute_force_wasserstein(B, C, math.inf)
 
 
+def _quarter_bars(rng, k, span):
+    """k finite bars on the quarter grid, so float costs are exact too."""
+    return [(b, b + F(rng.randrange(1, 4 * span), 4))
+            for b in (F(rng.randrange(4 * span), 4) for _ in range(k))]
+
+
+def _bottleneck_inputs(B, C):
+    """pair_cost, diag_left and diag_right as bar_distance builds them."""
+    pair_cost = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in C] for b in B]
+    return pair_cost, [(b[1] - b[0]) / 2 for b in B], [(c[1] - c[0]) / 2 for c in C]
+
+
+def _exact_and_float_inputs(B, C):
+    """(inputs, value type) for the Fraction bars B, C and for their floats."""
+    def floats(bars):
+        return [(float(b), float(d)) for b, d in bars]
+    return [(_bottleneck_inputs(B, C), F),
+            (_bottleneck_inputs(floats(B), floats(C)), float)]
+
+
+def _realized(pair_cost, diag_l, diag_r, pairs):
+    """The largest cost term of the matching given by pairs."""
+    left, right = {i for i, _ in pairs}, {j for _, j in pairs}
+    return max([pair_cost[i][j] for i, j in pairs]
+               + [d for i, d in enumerate(diag_l) if i not in left]
+               + [d for j, d in enumerate(diag_r) if j not in right])
+
+
 def test_bottleneck_pairs_realize_the_value():
     # small integer bars give many tied costs; empty sides included.  The
     # threshold search must return pairs whose cost is its value, and the
-    # value must be the optimum
+    # value must be the optimum, in the number type of the inputs
+    value, pairs = bottleneck_assignment([], [], [])
+    assert (value, pairs) == (0, []) and type(value) is int
     rng = random.Random(151)
     for trial in range(300):
         nb, nc = rng.randint(0, 4), rng.randint(0, 4)
@@ -95,16 +127,51 @@ def test_bottleneck_pairs_realize_the_value():
             continue
         B, C = ([(F(b), F(b + rng.randint(1, 3))) for b in
                  (rng.randrange(3) for _ in range(k))] for k in (nb, nc))
-        pair_cost = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in C] for b in B]
-        diag_l = [(b[1] - b[0]) / 2 for b in B]
-        diag_r = [(c[1] - c[0]) / 2 for c in C]
-        value, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
-        left, right = {i for i, _ in pairs}, {j for _, j in pairs}
-        terms = ([pair_cost[i][j] for i, j in pairs]
-                 + [d for i, d in enumerate(diag_l) if i not in left]
-                 + [d for j, d in enumerate(diag_r) if j not in right])
-        assert max(terms) == value
-        assert value == brute_force_wasserstein(Barcode(B), Barcode(C), math.inf)
+        optimum = brute_force_wasserstein(Barcode(B), Barcode(C), math.inf)
+        for inputs, kind in _exact_and_float_inputs(B, C):
+            value, pairs = bottleneck_assignment(*inputs)
+            assert type(value) is kind
+            assert _realized(*inputs, pairs) == value == optimum
+
+
+def test_bottleneck_search_does_not_recurse():
+    # 160 bars per side under a recursion limit a few dozen frames above
+    # this test's depth: an augmenting search that recursed along its
+    # paths would raise RecursionError here
+    rng = random.Random(163)
+    B, C = _quarter_bars(rng, 160, 24), _quarter_bars(rng, 160, 24)
+    depth = sum(1 for _ in traceback.walk_stack(None))
+    for inputs, kind in _exact_and_float_inputs(B, C):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            value, pairs = bottleneck_assignment(*inputs)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert type(value) is kind and value == BOTTLENECK_160
+        assert _realized(*inputs, pairs) == value
+
+
+# Bottleneck values of the seeded instances below, recorded with the
+# Hopcroft-Karp matcher that the augmenting rounds replaced; these sizes
+# are beyond the brute-force oracle
+BOTTLENECK_160 = F(11, 4)
+BOTTLENECK_PINNED = ["27/4", "9/4", "1/2", "3/4", "3", "7/4", "25/2", "111/8",
+                     "2", "19/8", "2", "27/8", "5/8", "6", "11/4", "1/2",
+                     "21/2", "47/4", "47/4", "3/4", "43/4", "1/2", "11/4",
+                     "3/2", "1/2", "85/8", "33/4", "1/4", "63/8", "13/2"]
+
+
+def test_bottleneck_values_pinned():
+    rng = random.Random(409)
+    for want in BOTTLENECK_PINNED:
+        m, n = rng.randint(20, 80), rng.randint(20, 80)
+        span = rng.choice((2, 8, 32))
+        B, C = _quarter_bars(rng, m, span), _quarter_bars(rng, n, span)
+        for inputs, kind in _exact_and_float_inputs(B, C):
+            value, pairs = bottleneck_assignment(*inputs)
+            assert type(value) is kind and value == F(want)
+            assert _realized(*inputs, pairs) == value
 
 
 def test_symmetry_exact():
