@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .barcode import Barcode
 from .errors import DataError
@@ -62,7 +61,7 @@ class LimitLine:
         object.__setattr__(self, "w", w)
 
 
-Line = Union[AdmissibleLine, LimitLine]
+Line = AdmissibleLine | LimitLine
 
 
 def _pushes(label_vec, chart) -> list:

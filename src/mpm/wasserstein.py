@@ -12,18 +12,27 @@ Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
 p >= 1 (and for the bottleneck).  The finite bars go through a
 min-cost assignment on an augmented square matrix (one diagonal ghost
-per bar, ghosts mutually free), solved by shortest augmenting paths in
-exact rational arithmetic.  For p = inf, bottleneck_assignment bisects
-over the candidate costs instead; each probed threshold is feasible
-when a graph with one ghost per bar, each bar reaching only its own
-ghost, has a perfect matching, found by rounds of augmenting-path
-searches.  bar_distance holds these steps once for any number type; the
-matching-distance search runs it on floats.
+per bar, ghosts mutually free), solved by shortest augmenting paths.
+For p = inf, bottleneck_assignment bisects over the candidate costs
+instead; each probed threshold is feasible when a graph with one ghost
+per bar, each bar reaching only its own ghost, has a perfect matching,
+found by rounds of augmenting-path searches.
+
+bar_distance holds these steps once for any number type.  The exact
+values come from integers: for integral p and for p = inf,
+wasserstein_full scales every endpoint by 2L, with L the least common
+denominator of the two barcodes, runs bar_distance on the resulting
+ints and divides the result back once (its docstring proves that the
+answer is unchanged).  A non-integral p has float costs; the
+matching-distance search runs bar_distance on floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import floordiv, truediv
 from typing import Optional, Sequence
 
 from .barcode import Barcode
@@ -112,9 +121,9 @@ def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
 def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
     """Optimal assignment of a square cost matrix with finite entries.
 
-    Entries may be Fractions or floats (not mixed with inf).  Returns
-    row_to_col.  Standard O(n^3) Jonker-Volgenant style algorithm; with
-    Fraction entries every comparison is exact.
+    Entries may be ints, Fractions or floats (not mixed with inf).
+    Returns row_to_col.  Standard O(n^3) Jonker-Volgenant style
+    algorithm; with int or Fraction entries every comparison is exact.
     """
     n = len(cost)
     if n == 0:
@@ -201,6 +210,15 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     node; so no free left node has an augmenting path, and the matching
     is maximum (Berge).  The search keeps an explicit stack and does not
     recurse.
+
+    The edges from left ghosts to right ghosts are not listed.  Every
+    left ghost reaches every right ghost, and takes the first one in
+    index order that is free (greedy start) or unseen (round).  A right
+    ghost, once taken or seen, stays so for the rest of the greedy start
+    or of the round, so one iterator over the right ghosts, shared by
+    all left ghosts of the pass, hands each left ghost the same ghost as
+    its own full list would, and costs O(m) per pass instead of per
+    visit.
     """
     m, n = len(diag_left), len(diag_right)
     if m == 0 and n == 0:
@@ -221,20 +239,30 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
 
     def matching_at(thr):
         """match_left of a perfect matching of the graph at thr, or None."""
+        # a left ghost lists only its C-bar; its right ghosts come from the
+        # pass's shared iterator (see the docstring)
         adj = [[j for j, c in enumerate(row) if c <= thr] + ([n + i] if d <= thr else [])
                for i, (row, d) in enumerate(zip(pair_cost, diag_left))]
-        adj += [[k, *ghosts] if d <= thr else ghosts for k, d in enumerate(diag_right)]
+        adj += [[k] if d <= thr else [] for k, d in enumerate(diag_right)]
         match_l, match_r = [-1] * (m + n), [-1] * (n + m)
+        rest = iter(ghosts)
         for u, nbrs in enumerate(adj):
             for w in nbrs:
                 if match_r[w] == -1:
                     match_l[u], match_r[w] = w, u
                     break
+            else:
+                if u >= m:
+                    for w in rest:
+                        if match_r[w] == -1:
+                            match_l[u], match_r[w] = w, u
+                            break
 
-        def augment(root, seen):
+        def augment(root, seen, rest):
             # the path so far: its left nodes, the right nodes after them
             # and the unexplored edges of each left node
-            lefts, rights, its = [root], [], [iter(adj[root])]
+            lefts, rights = [root], []
+            its = [iter(adj[root]) if root < m else chain(adj[root], rest)]
             while its:
                 for w in its[-1]:
                     if not seen[w]:
@@ -246,7 +274,7 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
                                 match_l[u], match_r[w] = w, u
                             return True
                         lefts.append(u)
-                        its.append(iter(adj[u]))
+                        its.append(iter(adj[u]) if u < m else chain(adj[u], rest))
                         break
                 else:
                     its.pop()
@@ -260,7 +288,8 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
             if not free:
                 return match_l
             seen = [False] * (n + m)
-            if not sum(augment(u, seen) for u in free):
+            rest = iter(ghosts)
+            if not sum(augment(u, seen, rest) for u in free):
                 return None
 
     lo, hi = 0, len(candidates) - 1
@@ -297,21 +326,26 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     fin_b and fin_c hold finite bars (birth, death); ess_b and ess_c
     hold the births of the essential bars in ascending order, and the
     sorted pairing matches them.  Every number has the type of ``zero``:
-    Fractions give exact values for p in {1, inf} and exact powers for
-    integral p, floats give the float distance.  Returns (value, power,
-    pairs): power is the sum of p-th powers (None for p = inf) and pairs
-    lists the matched (i, j) indices into fin_b and fin_c.
+    ints, with every bar length even, keep every cost exact at integral
+    p and at p = inf; floats, or Fractions at a non-integral p, give the
+    float distance.  Returns (value, power, pairs): power is the sum of
+    p-th powers (None for p = inf), value is None when power is exact
+    and p > 1 (the caller takes the root), and pairs lists the matched
+    (i, j) indices into fin_b and fin_c.
     """
     if len(ess_b) != len(ess_c):
         return INF, None if is_inf(p) else INF, []
+    # a bar's distance to the diagonal is half its length; / would turn
+    # ints into floats, and even lengths halve exactly by //
+    halve = floordiv if type(zero) is int else truediv
     if is_inf(p):
         ess = zero
         for b, c in zip(ess_b, ess_c):
             ess = max(ess, abs(b - c))
         pair_cost = [[max(abs(b[0] - c[0]), abs(b[1] - c[1])) for c in fin_c]
                      for b in fin_b]
-        diag_l = [(b[1] - b[0]) / 2 for b in fin_b]
-        diag_r = [(c[1] - c[0]) / 2 for c in fin_c]
+        diag_l = [halve(b[1] - b[0], 2) for b in fin_b]
+        diag_r = [halve(c[1] - c[0], 2) for c in fin_c]
         fin, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
         return max(ess, fin), None, pairs
 
@@ -319,7 +353,7 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     pzero = zero ** e  # a Fraction to a float power is a float
 
     def diag(bar):
-        return 2 * ((bar[1] - bar[0]) / 2) ** e
+        return 2 * halve(bar[1] - bar[0], 2) ** e
 
     ess = pzero
     for b, c in zip(ess_b, ess_c):
@@ -337,21 +371,63 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     power = ess + fin
     if p == 1:
         value = power
-    elif isinstance(power, Fraction):
-        value = pth_root(power, p)
-    else:
+    elif isinstance(power, float):
         value = power ** (1.0 / float(p))
+    else:
+        value = None  # an exact power, to be rooted once unscaled
     return value, power, [(i, j) for i, j in enumerate(assign) if i < m and j < n]
 
 
 def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
-    """Minimal matching cost between B and C, with a realizing matching."""
+    """Minimal matching cost between B and C, with a realizing matching.
+
+    For integral p and for p = inf the solvers run on ints: with L the
+    least common denominator of every finite endpoint and essential
+    birth of B and C, each number x becomes the int 2Lx, so every bar
+    length is even and every half-length an int.  The result is unscaled
+    once: the value by 2L at p = inf, the power by (2L)^p at finite p.
+
+    The matching is the one the Fraction arithmetic finds, and the
+    unscaled numbers are equal to its.  Scaling every number by s = 2L
+    scales every cost by c = s^p (c = s at p = inf): each cost is a sum
+    of p-th powers of differences, or at p = inf a maximum of
+    differences.  min_cost_assignment starts from zero potentials and
+    only adds and subtracts costs, reduced costs and their minima, so by
+    induction each quantity it computes is c times the one it computes
+    on the unscaled costs; as c > 0, every comparison between them has
+    the same outcome, ties included (each is also below its INF starting
+    minima on both scales), and it makes the same choices.
+    bottleneck_assignment only compares costs and picks one of them, and
+    its candidate list, being sorted and deduplicated, keeps its order
+    and length, so its bisection probes the same positions and its
+    searches see the same graphs.  Its value, the power and the sum of
+    the essential terms are therefore c times the unscaled ones, and
+    dividing by c recovers them exactly.  A non-integral p has float
+    costs either way and keeps the Fraction inputs.
+    """
     p = as_pexp(p)
     fin_b, ess_b = _split(B)
     fin_c, ess_c = _split(C)
-    value, power, pairs = bar_distance(
-        [B[i] for i in fin_b], [B[i][0] for i in ess_b],
-        [C[j] for j in fin_c], [C[j][0] for j in ess_c], p, Fraction(0))
+    bars_b, bars_c = [B[i] for i in fin_b], [C[j] for j in fin_c]
+    births_b, births_c = [B[i][0] for i in ess_b], [C[j][0] for j in ess_c]
+    if is_inf(p) or pexp_integral(p):
+        scale = 2 * math.lcm(*(x.denominator for x in chain(
+            births_b, births_c, *bars_b, *bars_c)))
+
+        def up(x):
+            return x.numerator * (scale // x.denominator)
+
+        value, power, pairs = bar_distance(
+            [(up(b), up(d)) for b, d in bars_b], [up(x) for x in births_b],
+            [(up(b), up(d)) for b, d in bars_c], [up(x) for x in births_c], p, 0)
+        if is_inf(p) and not is_inf(value):
+            value = Fraction(value, scale)
+        elif not is_inf(p) and not is_inf(power):
+            power = Fraction(power, scale ** int(p))
+            value = power if p == 1 else pth_root(power, p)
+    else:
+        value, power, pairs = bar_distance(bars_b, births_b, bars_c, births_c, p,
+                                           Fraction(0))
     if is_inf(value):
         return WassersteinResult(p, INF, power, Matching(frozenset()))
     pairs = [(fin_b[i], fin_c[j]) for i, j in pairs] + list(zip(ess_b, ess_c))

@@ -1,7 +1,11 @@
 import ast
 import importlib
+import json
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -241,3 +245,27 @@ def test_bench_layers_name_existing_functions():
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert layers
     assert missing == []
+
+
+def test_reimport_frees_the_previous_library():
+    # a fresh import of mpm (the bench makes one before every pass) must
+    # leave the previous one collectable; a module-level typing.Union of
+    # mpm classes pinned each old import in typing's cache.  A subprocess
+    # keeps this session's imports out of it
+    code = textwrap.dedent("""
+        import collections, gc, importlib, json, sys
+        for _ in range(5):
+            for name in [n for n in sys.modules if n == "mpm" or n.startswith("mpm.")]:
+                del sys.modules[name]
+            importlib.import_module("mpm")
+            gc.collect()
+        alive = collections.Counter(
+            f"{obj.__module__}.{obj.__qualname__}" for obj in gc.get_objects()
+            if isinstance(obj, type) and obj.__module__.split(".")[0] == "mpm")
+        print(json.dumps([sorted(name for name, k in alive.items() if k > 1), len(alive)]))
+    """)
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, cwd=src).stdout
+    stale, n_classes = json.loads(out)
+    assert n_classes > 10 and stale == []

@@ -1,8 +1,11 @@
+import importlib
+import json
 import math
 import random
 import sys
 import traceback
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from mpm.fixtures import random_barcode
 from mpm.wasserstein import bottleneck_assignment
 
 from oracles import brute_force_full, brute_force_wasserstein
+
+W = importlib.import_module("mpm.wasserstein")  # mpm.wasserstein is also a function
 
 
 def bc(*bars):
@@ -244,3 +249,83 @@ def test_optimal_matching_dominates_explicit_matchings():
                 pairs = frozenset(zip(rng.sample(fin_b, k), rng.sample(fin_c, k)))
                 cost = matching_cost(B, C, Matching(pairs), p)
                 assert float(res.value) <= float(cost) + 1e-9
+
+
+# Denominator draws for the golden set: integer endpoints, small mixed
+# denominators, and a few denominators near 10**12
+GOLDEN_DENOMS = (
+    lambda rng: 1,
+    lambda rng: rng.choice((1, 2, 3, 4, 5, 6, 8, 12)),
+    lambda rng: rng.choice((10**12 - 11, 10**12 + 39, 999_999_999_989, 10**12)),
+)
+GOLDEN_PS = (F(1), F(2), F(3), F(3, 2), INF)
+
+
+def _golden_barcode(rng, denom, n_fin, n_ess):
+    def coord(span):
+        d = denom(rng)
+        return F(rng.randrange(-span * d, span * d), d)
+    bars = [(coord(8), INF) for _ in range(n_ess)]
+    for _ in range(n_fin):
+        birth = coord(8)
+        bars.append((birth, birth + abs(coord(6)) + F(1, denom(rng))))
+    rng.shuffle(bars)
+    return Barcode(bars)
+
+
+def _golden_cases():
+    """(B, C, p) for the pinned records: 20 pairs per denominator draw,
+    each at every p in GOLDEN_PS.  Of every five pairs one has B empty of
+    finite bars and one C; every seventh draws its essential counts per
+    side, so they may differ."""
+    rng = random.Random(683)
+    for denom in GOLDEN_DENOMS:
+        for t in range(20):
+            n_ess = rng.randint(0, 2)
+            B, C = (_golden_barcode(rng, denom, 0 if t % 5 == side else rng.randint(0, 6),
+                                    n_ess if t % 7 else rng.randint(0, 2))
+                    for side in (0, 1))
+            for p in GOLDEN_PS:
+                yield B, C, p
+
+
+def _golden_record(res):
+    return (f"{type(res.value).__name__} {res.value!r}; "
+            f"{type(res.power).__name__} {res.power!r}; "
+            f"{sorted(res.matching.pairs)}")
+
+
+def test_wasserstein_full_golden():
+    # value, power and matching of each case, by type and repr, recorded
+    # with the Fraction-arithmetic solver that the scaled integers replaced
+    want = json.loads((Path(__file__).parent / "wasserstein_golden.json").read_text())
+    got = [_golden_record(wasserstein_full(B, C, p)) for B, C, p in _golden_cases()]
+    assert len(got) == len(want) == 300
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"record {k}"
+
+
+def test_exact_path_costs_are_ints(monkeypatch):
+    # at integral p and at p = inf the solvers see only ints; a
+    # non-integral p keeps its float costs
+    seen = []
+    assign, bottleneck = W.min_cost_assignment, W.bottleneck_assignment
+
+    def spy_assign(cost):
+        seen.extend(c for row in cost for c in row)
+        return assign(cost)
+
+    def spy_bottleneck(pair_cost, diag_left, diag_right):
+        seen.extend([*diag_left, *diag_right, *(c for row in pair_cost for c in row)])
+        return bottleneck(pair_cost, diag_left, diag_right)
+
+    monkeypatch.setattr(W, "min_cost_assignment", spy_assign)
+    monkeypatch.setattr(W, "bottleneck_assignment", spy_bottleneck)
+    rng = random.Random(691)
+    for p, kind in ((F(1), int), (F(2), int), (INF, int), (F(3, 2), float)):
+        seen.clear()
+        for _ in range(20):
+            B, C = (random_barcode(rng, max_bars=6, denom=rng.choice((1, 3, 4)),
+                                   essential_rate=0) for _ in range(2))
+            wasserstein_full(B, C, p)
+        assert seen and {type(c) for c in seen} == {kind}
