@@ -5,11 +5,12 @@ endpoints extend the rationals with ``math.inf``; everywhere in this
 package the convention ``inf - inf = 0`` is applied through
 :func:`ext_abs_diff` instead of raw float arithmetic.
 
-Exponents p live in [1, inf].  A finite p is a ``Fraction``; p = inf is
-``math.inf``.  For integral p all p-th powers of rationals stay exact,
-so distances can be compared as exact p-th powers; the distance itself
-is produced by :func:`pth_root` (integer Newton iteration, accurate to
-about one ulp of a double).
+Exponents p live in [1, inf].  A finite p is a ``Fraction`` (the norm
+helpers here also take an int); p = inf is ``math.inf``.  For integral
+p all p-th powers of rationals stay exact, so distances can be compared
+as exact p-th powers; the distance itself is produced by
+:func:`pth_root` (integer Newton iteration, within one ulp of a double
+at every magnitude a double can hold).
 """
 from __future__ import annotations
 
@@ -96,7 +97,8 @@ def format_pexp(p: PExp) -> str:
 
 
 def pexp_integral(p: PExp) -> bool:
-    return isinstance(p, Fraction) and p.denominator == 1
+    """p is a finite integer exponent (a Fraction or an int)."""
+    return isinstance(p, (int, Fraction)) and p.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +140,12 @@ def pth_root(x: Extended, p: PExp) -> float:
     if k == 1:
         return float(x)
     x = Fraction(x)
-    shift = 64
+    # x > 2^(e-1), so the root r keeps at least 64 bits; the int division
+    # rounds once and overflows only where the root itself does
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    shift = max(64, 64 - (e - 1) // k)
     r = _int_nth_root((x.numerator << (k * shift)) // x.denominator, k)
-    return math.ldexp(float(r), -shift)
+    return r / (1 << shift)
 
 
 def abs_power(x: Extended, p: PExp) -> Extended:
@@ -204,33 +209,6 @@ def join_all(grades: Iterable[Grade]) -> Grade:
     for g in it:
         out = grade_join(out, g)
     return out
-
-
-def grade_sub(a: Grade, b: Grade) -> Grade:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def labels_pnorm_power(first: Sequence[Grade], second: Sequence[Grade], p: PExp) -> Extended:
-    """Sum over label pairs of ||a - b||_p^p (finite integral p stays exact)."""
-    if len(first) != len(second):
-        raise ValueError("label vectors differ in length")
-    total: Extended = Fraction(0)
-    for a, b in zip(first, second):
-        total = total + vec_pnorm_power(grade_sub(a, b), p)
-    return total
-
-
-def labels_pnorm(first: Sequence[Grade], second: Sequence[Grade], p: PExp) -> Extended:
-    """lp-distance between two equal-length vectors of grades.
-
-    Each entry difference is measured in the lp-norm on R^n, then the
-    entries are lp-aggregated (so the result is the flat lp-norm of all
-    coordinate differences).
-    """
-    if len(first) != len(second):
-        raise ValueError("label vectors differ in length")
-    deltas = [c for a, b in zip(first, second) for c in grade_sub(a, b)]
-    return vec_pnorm(deltas, p)
 
 
 def parse_grade(tokens: Sequence[str], n_params: int) -> Grade:

@@ -6,9 +6,10 @@ max_i (a_i - w_i) / v_i.  Degenerate axis-parallel limits (used by the
 matching-distance compactification) are represented separately; their
 push is max(a_i - w_i, 0) over the remaining finite-direction
 coordinate, the pointwise limit of the admissible formula.  _pushes
-holds the formula once, for any number type: push and
-restrict_presentation run it on Fractions, and the matching-distance
-search runs it on floats over its (s, mu) chart.
+holds the formula once, for any number type: push, barcode_along_line
+and restrict_presentation (the builder behind ``mpm restrict``) run it
+on Fractions, and the matching-distance search runs it on floats over
+its (s, mu) chart.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from fractions import Fraction
 
 from .barcode import Barcode
 from .errors import DataError
-from .grades import Grade, rat
-from .onepar import barcode_of
-from .presentation import Presentation
+from .grades import INF, Grade, rat
+from .onepar import barcode_pairs
+from .presentation import Presentation, labels
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,25 @@ def restrict_presentation(P: Presentation, line: Line) -> Presentation:
     """
     if P.n_params != 2:
         raise DataError("restriction applies to 2-parameter presentations")
-    pushed = [(t,) for t in _pushes(P.row_labels + P.col_labels, _line_chart(line))]
+    pushed = [(t,) for t in _pushes(labels(P), _line_chart(line))]
     return Presentation(P.field, 1, tuple(pushed[:P.n_rows]),
                         tuple(pushed[P.n_rows:]), P.columns)
 
 
 def barcode_along_line(P: Presentation, line: Line) -> Barcode:
-    return barcode_of(restrict_presentation(P, line))
+    """Barcode of coker(P) restricted to the line, read by
+    onepar.barcode_pairs straight off the pushed labels.
+
+    Building the restricted presentation would check no more: P was
+    validated when built, and the push is monotone (kx, ky >= 0), so
+    the pushed labels cannot break the label order.
+    """
+    if P.n_params != 2:
+        raise DataError("restriction applies to 2-parameter presentations")
+    pushed = _pushes(labels(P), _line_chart(line))
+    bars, essential = barcode_pairs(pushed[:P.n_rows], pushed[P.n_rows:],
+                                    P.column_dicts(), P.field)
+    return Barcode(bars + [(b, INF) for b in essential])
 
 
 def parse_line(text: str) -> AdmissibleLine:

@@ -11,11 +11,12 @@ all admissible lines.
 The push of a fixed grade is monotone in s on each side of s = 0 and
 monotone in mu on each side of mu = 0, so its extrema over a box sit on
 the grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
-The push (lines._pushes, fed by the chart _chart), the box deviation
-and the per-line Wasserstein distance are each written once, generic
-in the number type: on Fractions (push_param, label_deviation,
-local_bound, wasserstein) they are exact, and the branch-and-bound loop
-runs the same code on floats with a small inflation (~1e-9) on every
+The push (lines._pushes, fed by the chart _chart), the box deviation,
+the bars along a line (onepar.barcode_pairs) and the per-line
+Wasserstein distance are each written once, generic in the number
+type: on Fractions (label_deviation, local_bound, barcode_along_line,
+wasserstein) they are exact, and the branch-and-bound loop runs the
+same code on floats with a small inflation (~1e-9) on every
 upper-bound term.  The final lower bound is re-evaluated in exact
 arithmetic on the report's argmax_admissible line (integral p and
 p = inf); a value above the inflated float upper bound is an error.
@@ -87,11 +88,6 @@ def line_of_param(q: LineParam) -> Line:
     if kx == 0:
         return LimitLine(1, (wx, wy))
     return AdmissibleLine((1 / kx, 1 / ky), (wx, wy))
-
-
-def push_param(a: Grade, s: Fraction, mu: Fraction) -> Fraction:
-    """Exact push of a grade along the chart line (valid on the boundary)."""
-    return _pushes([a], _chart(s, mu, Fraction(0), Fraction(1)))[0]
 
 
 @dataclass(frozen=True)
@@ -219,12 +215,11 @@ class _ModuleData:
         self.memo: dict = {}
 
     def bars(self, pushes: list):
-        """Finite bars and sorted essential births, from the pushes of
-        self.labels along one line."""
+        """Finite bars and ascending essential births (barcode_pairs),
+        from the pushes of self.labels along one line."""
         n = self.n_rows
-        pairs, essential = barcode_pairs(pushes[:n], pushes[n:], self.columns,
-                                         self.field, self.memo)
-        return [(b, d) for b, d in pairs if d > b], sorted(essential)
+        return barcode_pairs(pushes[:n], pushes[n:], self.columns, self.field,
+                             self.memo)
 
 
 def _lp(devs: list, pf: Optional[float]) -> float:

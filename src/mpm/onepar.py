@@ -1,5 +1,8 @@
 """One-parameter presentations: graded normal form and barcodes.
 
+barcode_pairs reads the bars off the pivot pairing, for barcode_of,
+lines.barcode_along_line and the matching-distance search alike.
+
 The reduction is the persistence-style column reduction, run by
 field.ColumnEchelon (_pivot_pairing): rows and columns are sorted by
 label (ties by index), columns are inserted left to right, and each is
@@ -46,11 +49,15 @@ def _pivot_pairing(row_order: Sequence[int], col_order: Sequence[int],
 def barcode_pairs(row_values: Sequence, col_values: Sequence,
                   columns: list[SparseCol], field: PrimeField,
                   memo: Optional[dict] = None):
-    """Pivot pairs and essential births of a 1-parameter reduction.
+    """Bars of a 1-parameter reduction, read off its pivot pairing.
 
-    Label values only need to be totally ordered (Fractions or floats),
-    which lets the matching-distance fast path reuse this routine.
-    Returns ([(birth, death) pivot pairs], [essential births]).
+    Label values only need to be totally ordered (Fractions or floats).
+    Returns ([(birth, death) finite bars], [essential births]): the
+    pivot pairs with birth < death, in pivot order, and the unpaired
+    rows' values in row order, which is ascending.  When every nonzero
+    entry has row value <= column value, a reduced column is a sum of
+    columns valued at most its own, so no pair has birth > death and
+    only the pairs with birth == death are dropped.
 
     The pivot pairing depends on the values only through the row order
     and the column order (stable sorts, so ties break by index).  memo,
@@ -69,8 +76,9 @@ def barcode_pairs(row_values: Sequence, col_values: Sequence,
         if memo is not None:
             memo[key] = pairing
     index_pairs, essential = pairing
-    return ([(row_values[i], col_values[j]) for i, j in index_pairs],
-            [row_values[i] for i in essential])
+    bars = [(b, d) for i, j in index_pairs
+            if (b := row_values[i]) < (d := col_values[j])]
+    return bars, [row_values[i] for i in essential]
 
 
 @dataclass(frozen=True)
@@ -103,19 +111,14 @@ def reduce_to_normal_form(P: Presentation) -> NormalForm:
 
 
 def barcode_of(P: Presentation) -> Barcode:
-    """Barcode of coker(P) for a 1-parameter presentation.
-
-    Pivot pairs with distinct labels give bars [row label, column label);
-    equal-label pivot pairs are dropped; zero rows give [row label, inf).
-    """
+    """Barcode of coker(P) for a 1-parameter presentation: the bars of
+    barcode_pairs, essential ones as [birth, inf)."""
     if P.n_params != 1:
         raise DataError("barcodes require a 1-parameter presentation")
-    pairs, essential = barcode_pairs(
+    bars, essential = barcode_pairs(
         [g[0] for g in P.row_labels], [g[0] for g in P.col_labels],
         P.column_dicts(), P.field)
-    bars = [(b, d) for b, d in pairs if b != d]
-    bars.extend((b, INF) for b in essential)
-    return Barcode(bars)
+    return Barcode(bars + [(b, INF) for b in essential])
 
 
 def interpolation_breakpoints(L0: Sequence[Fraction], L1: Sequence[Fraction]) -> list[Fraction]:

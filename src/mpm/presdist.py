@@ -17,7 +17,7 @@ from .errors import (ChainError, ComputationError, DataError, PairingError,
                      SubdivisionLimitError)
 from .field import column_rank
 from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
-                     labels_pnorm, labels_pnorm_power, pexp_integral)
+                     pexp_integral, vec_pnorm, vec_pnorm_power)
 from .matchdist import DistanceReport, approx_matching_distance
 from .presentation import Presentation, hilbert_dim, labels
 
@@ -36,10 +36,16 @@ class PairedPresentations:
             raise DataError("paired presentations must share the underlying matrix")
 
 
+def _label_deltas(pp: PairedPresentations) -> list[Fraction]:
+    """Every coordinate of labels(first) - labels(second), flattened."""
+    return [x - y for a, b in zip(labels(pp.first), labels(pp.second), strict=True)
+            for x, y in zip(a, b, strict=True)]
+
+
 def label_distance(pp: PairedPresentations, p: PExp) -> Extended:
-    """||labels(first) - labels(second)||_p (exact for p in {1, inf})."""
-    p = as_pexp(p)
-    return labels_pnorm(labels(pp.first), labels(pp.second), p)
+    """||labels(first) - labels(second)||_p, the flat lp-norm of all
+    coordinate differences (exact for p in {1, inf})."""
+    return vec_pnorm(_label_deltas(pp), as_pexp(p))
 
 
 def label_distance_power(pp: PairedPresentations, p: PExp) -> Extended:
@@ -47,7 +53,7 @@ def label_distance_power(pp: PairedPresentations, p: PExp) -> Extended:
     p = as_pexp(p)
     if not pexp_integral(p):
         raise DataError("label_distance_power requires a finite integral p")
-    return labels_pnorm_power(labels(pp.first), labels(pp.second), p)
+    return vec_pnorm_power(_label_deltas(pp), p)
 
 
 # ---------------------------------------------------------------------------

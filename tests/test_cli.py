@@ -96,6 +96,18 @@ def test_labeldist(files, capsys):
     assert abs(float(capsys.readouterr().out) - 2 ** 0.5) < 1e-9
 
 
+def test_labeldist_keeps_small_roots(tmp_path, capsys):
+    # the p = 2 root of a tiny sum of squares is neither 0 nor rounded down
+    zero = tmp_path / "zero.fpm"
+    zero.write_text("fpm 1\nfield 2\nparams 1\nrows 1\n0\ncols 0\n")
+    for gap in ("0.00000000000000000001", "0.00001"):
+        moved = tmp_path / "moved.fpm"
+        moved.write_text(f"fpm 1\nfield 2\nparams 1\nrows 1\n{gap}\ncols 0\n")
+        assert main(["labeldist", "--p", "2", "--digits", "17",
+                     str(zero), str(moved)]) == 0
+        assert float(capsys.readouterr().out) == float(gap)
+
+
 def test_labeldist_rejects_different_matrices(files, capsys, tmp_path):
     other = tmp_path / "o.fpm"
     other.write_text("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols 0\n")

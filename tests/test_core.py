@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpm
-from mpm import (DataError, ParseError, PrimeField, Presentation,
+from mpm import (Barcode, DataError, ParseError, PrimeField, Presentation,
                  free_presentation, grade_join, grade_leq, hilbert_dim,
                  labels, parse_presentation, rank_invariant, rat,
-                 serialize_presentation, vec_pnorm, vec_pnorm_power)
+                 serialize_presentation, vec_pnorm, vec_pnorm_power,
+                 wasserstein)
 from mpm.field import ColumnEchelon, column_rank, is_prime
 from mpm.fixtures import random_presentation
 from mpm.grades import format_rat, pth_root
@@ -61,6 +63,23 @@ def test_pth_root_accuracy():
     assert pth_root(F(4), 2) == 2.0
     assert abs(pth_root(F(2), 2) - math.sqrt(2)) < 1e-15
     assert abs(pth_root(F(1, 64), 6) - 0.5) < 1e-15
+
+
+def test_pth_root_within_one_ulp_at_every_magnitude():
+    # neither small roots (which a fixed 64-bit scaling rounds away) nor
+    # large ones (whose scaled root overflows a float) lose accuracy
+    def within_one_ulp(got, want):
+        return abs(Decimal(got) - want) <= Decimal(math.ulp(got))
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in (2, 3, 7):
+            for e in range(-300, 301):
+                want = (Decimal(10) ** e) ** (Decimal(1) / k)
+                assert within_one_ulp(pth_root(F(10) ** e, F(k)), want), (k, e)
+        assert within_one_ulp(vec_pnorm([10**300, 10**300], 2),
+                              Decimal(2).sqrt() * Decimal(10) ** 300)
+    assert wasserstein(Barcode([(0, 1)]), Barcode([(F(1, 10**20), 1)]), 2) == 1e-20
 
 
 def test_pnorms():

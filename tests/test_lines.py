@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from mpm import (AdmissibleLine, Barcode, DataError, INF, LimitLine,
-                 barcode_along_line, free_presentation,
-                 hilbert_dim, parse_line, push, restrict_presentation,
-                 wasserstein)
+                 Presentation, approx_matching_distance, barcode_along_line,
+                 barcode_of, free_presentation, hilbert_dim, parse_line, push,
+                 restrict_presentation, sampled_lower_bound, wasserstein)
 from mpm.field import PrimeField
 from mpm.fixtures import random_presentation
 from mpm.grades import vec_pnorm
@@ -105,6 +105,10 @@ def test_push_monotone():
 
 
 def test_restriction_consistent_with_hilbert():
+    # the restricted presentation agrees with P's Hilbert function on the
+    # line, and barcode_along_line, which builds no restriction, reads off
+    # the same bars in the same order, on the line and on both limit lines
+    # through its base point
     rng = random.Random(71)
     for _ in range(25):
         P = random_presentation(rng, n_params=2, max_rows=4, max_cols=4)
@@ -113,6 +117,29 @@ def test_restriction_consistent_with_hilbert():
         for _ in range(4):
             t = F(rng.randrange(-8, 33), 4)
             assert hilbert_dim(R, (t,)) == hilbert_dim(P, line(t))
+        for ln in (line, LimitLine(0, line.w), LimitLine(1, line.w)):
+            got = barcode_along_line(P, ln)
+            want = barcode_of(restrict_presentation(P, ln))
+            assert got == want and got.bars == want.bars
+
+
+def test_barcode_along_line_builds_no_presentation(monkeypatch, pres_f, pres_g):
+    built = []
+    original = Presentation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    lines = [AdmissibleLine((1, 1), (0, 0)), AdmissibleLine((1, 2), (1, 0)),
+             LimitLine(0, (2, 0)), LimitLine(1, (0, 1))]
+    for line in lines:
+        barcode_along_line(pres_f, line)
+    assert sampled_lower_bound(pres_f, pres_g, 1, lines) == 1
+    # make_report re-evaluates the best line exactly
+    assert approx_matching_distance(pres_f, pres_g, 1, F(1, 4)).lower == 1
+    assert built == []
 
 
 def test_canonicalization_preserves_wasserstein():

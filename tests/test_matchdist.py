@@ -7,8 +7,8 @@ import pytest
 from mpm import (AdmissibleLine, INF, ComputationError, LimitLine, LineParam,
                  ParamBox, SubdivisionLimitError, approx_matching_distance,
                  barcode_along_line, free_presentation,
-                 line_of_param, local_bound, push, push_param,
-                 sampled_lower_bound, wasserstein)
+                 line_of_param, local_bound, push, sampled_lower_bound,
+                 wasserstein)
 from mpm import matchdist
 from mpm.field import PrimeField
 from mpm.lines import _pushes
@@ -40,15 +40,6 @@ def test_line_of_param_boundary():
     assert isinstance(top, LimitLine) and top.axis == 0 and top.w == (F(3), F(0))
     bot = line_of_param(LineParam(-2, -1))
     assert isinstance(bot, LimitLine) and bot.axis == 1 and bot.w == (F(0), F(2))
-
-
-def test_push_param_matches_line_push():
-    rng = random.Random(79)
-    for _ in range(200):
-        s = F(rng.randrange(-16, 17), 4)
-        mu = F(rng.randrange(-4, 5), 4)
-        a = (F(rng.randrange(0, 25), 4), F(rng.randrange(0, 25), 4))
-        assert push_param(a, s, mu) == push(line_of_param(LineParam(s, mu)), a)
 
 
 def test_local_bound_point_box_is_zero():
@@ -150,9 +141,9 @@ def test_label_deviation_needs_no_s_zero_cut():
         ml = F(rng.randrange(-8, 8), 8)
         mh = min(F(1), ml + F(rng.randrange(1, 9), 8))
         box = ParamBox(sl, sh, ml, mh)
-        c = push_param(a, box.center.s, box.center.mu)
+        c = push(line_of_param(box.center), a)
         mu_cuts = (ml, F(0), mh) if ml < 0 < mh else (ml, mh)
-        full = max(abs(push_param(a, s, mu) - c)
+        full = max(abs(push(line_of_param(LineParam(s, mu)), a) - c)
                    for s in (sl, F(0), sh) for mu in mu_cuts)
         assert label_deviation(a, box) == full
 

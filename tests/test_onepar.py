@@ -9,7 +9,7 @@ from mpm import (Barcode, DataError, INF, PrimeField, Presentation,
                  reduce_to_normal_form, wasserstein, wasserstein_power)
 from mpm.fixtures import (random_matrix, random_paired_presentations,
                           random_presentation)
-from mpm.grades import labels_pnorm_power, vec_pnorm
+from mpm.grades import vec_pnorm, vec_pnorm_power
 from mpm.onepar import barcode_pairs
 
 F2 = PrimeField(2)
@@ -145,19 +145,17 @@ def test_wasserstein_bounded_by_label_distance():
     for _ in range(60):
         P, Q = random_paired_presentations(rng, n_params=1, max_rows=4, max_cols=4)
         bp, bq = barcode_of(P), barcode_of(Q)
+        deltas = [a[0] - b[0] for a, b in zip(labels(P), labels(Q))]
         for p in (F(1), F(2)):
-            w_pow = wasserstein_power(bp, bq, p)
-            lab_pow = labels_pnorm_power(labels(P), labels(Q), p)
-            assert w_pow <= lab_pow
-        dw = wasserstein(bp, bq, math.inf)
-        lab = vec_pnorm([a[0] - b[0] for a, b in zip(labels(P), labels(Q))], math.inf)
-        assert dw <= lab
+            assert wasserstein_power(bp, bq, p) <= vec_pnorm_power(deltas, p)
+        assert wasserstein(bp, bq, math.inf) <= vec_pnorm(deltas, math.inf)
 
 
 def test_barcode_pairs_memo_matches_fresh_reduction():
     # one memo shared by many tie-heavy label vectors of one matrix returns
     # exactly what a fresh reduction returns, and holds one entry per
-    # (row order, column order), ties broken by index
+    # (row order, column order), ties broken by index; the bars it reads
+    # off are never empty and the essential births come sorted
     rng = random.Random(173)
     for q in (2, 3):
         field = PrimeField(q)
@@ -171,7 +169,11 @@ def test_barcode_pairs_memo_matches_fresh_reduction():
                     cols = [kind(rng.randrange(3)) for _ in range(n_cols)]
                     got = barcode_pairs(rows, cols, columns, field, memo)
                     assert got == barcode_pairs(rows, cols, columns, field)
-                    assert all(type(v) is kind for pair in got[0] for v in pair)
+                    bars, essential = got
+                    assert all(type(v) is kind for pair in bars for v in pair)
+                    # the one read-off: no empty bar, essential births ascending
+                    assert all(b < d for b, d in bars)
+                    assert essential == sorted(essential)
                     orders.add(tuple(tuple(sorted(range(len(v)), key=lambda i: (v[i], i)))
                                      for v in (rows, cols)))
                 assert len(memo) == len(orders)
