@@ -22,8 +22,7 @@ from .lines import (AdmissibleLine, LimitLine, barcode_along_line,
 from .matchdist import (DistanceReport, LineParam, ParamBox,
                         approx_matching_distance, label_deviation,
                         line_of_param, local_bound, sampled_lower_bound)
-from .onepar import (NormalForm, barcode_of, interpolation_breakpoints,
-                     reduce_to_normal_form)
+from .onepar import NormalForm, barcode_of, reduce_to_normal_form
 from .presentation import (Presentation, free_presentation, hilbert_dim,
                            labels, rank_invariant)
 from .presdist import (BoundsReport, PairedPresentations, bounds,

@@ -171,7 +171,15 @@ def vec_pnorm_power(values: Iterable[Extended], p: PExp) -> Extended:
 
 
 def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
-    """lp-norm of the values; exact Fraction for p in {1, inf}, else float."""
+    """lp-norm of the values; exact Fraction for p in {1, inf}, else float.
+
+    At a non-integral p the float powers are taken of |v| / m, with m
+    the largest |v|, and the root is multiplied by m.  Every ratio lies
+    in [0, 1] and the largest is 1, so no power overflows and the sum
+    is at least 1; a ratio whose power underflows adds less than one
+    part in 2^1000 to it.  So the result overflows (OverflowError) only
+    where the norm itself exceeds a double.
+    """
     vals = list(values)
     if is_inf(p):
         best: Extended = Fraction(0)
@@ -187,8 +195,19 @@ def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
                 return INF
             total += abs(v)
         return total
-    power = vec_pnorm_power(vals, p)
-    return INF if is_inf(power) else pth_root(power, p)
+    if pexp_integral(p):
+        power = vec_pnorm_power(vals, p)
+        return INF if is_inf(power) else pth_root(power, p)
+    if any(is_inf(v) for v in vals):
+        return INF
+    top = max(map(abs, vals), default=0)
+    if top == 0:
+        return 0.0
+    q = float(p)
+    norm = float(top) * sum(float(abs(v) / top) ** q for v in vals) ** (1.0 / q)
+    if math.isinf(norm):
+        raise OverflowError("lp-norm exceeds the double range")
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ max_i (a_i - w_i) / v_i.  Degenerate axis-parallel limits (used by the
 matching-distance compactification) are represented separately; their
 push is max(a_i - w_i, 0) over the remaining finite-direction
 coordinate, the pointwise limit of the admissible formula.  _pushes
-holds the formula once, for any number type: push, barcode_along_line
-and restrict_presentation (the builder behind ``mpm restrict``) run it
-on Fractions, and the matching-distance search runs it on floats over
-its (s, mu) chart.
+holds the formula once, for any number type: push and
+restrict_presentation (the builder behind ``mpm restrict``) run it on
+Fractions; barcode_along_line runs it on ints, the labels and the line
+scaled once per call by positive common denominators, and divides only
+the bar endpoints back (proof at barcode_along_line); the
+matching-distance search runs it on floats over its (s, mu) chart.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,13 +116,42 @@ def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     Building the restricted presentation would check no more: P was
     validated when built, and the push is monotone (kx, ky >= 0), so
     the pushed labels cannot break the label order.
+
+    The pushes are computed on ints.  With L the least common
+    denominator of every label coordinate and of the base point
+    (wx, wy), and d that of the chart's kx and ky, _pushes runs on the
+    int labels (L ax, L ay) and the int chart (d kx, d ky, L wx, L wy).
+    Each int push is d kx (L ax - L wx) or d ky (L ay - L wy), that is
+    the Fraction one's term times s = L d, so their maximum is s times
+    the Fraction push, picked from the same side of the same
+    comparison.  As s > 0, every comparison between two int pushes has
+    the outcome of the one between the Fraction pushes, ties included.
+    barcode_pairs uses the values only through such comparisons: its
+    stable sorts give the same row and column orders, hence the same
+    memo keys and pivot pairing, and its birth < death test keeps the
+    same pairs.  Dividing each returned endpoint by s gives back the
+    Fraction bars, equal in value, order and type.
     """
     if P.n_params != 2:
         raise DataError("restriction applies to 2-parameter presentations")
-    pushed = _pushes(labels(P), _line_chart(line))
+    kx, ky, wx, wy = _line_chart(line)
+    labs = labels(P)
+    L = math.lcm(wx.denominator, wy.denominator,
+                 *{c.denominator for a in labs for c in a})
+    d = math.lcm(kx.denominator, ky.denominator)
+
+    def up(x, scale):
+        return x.numerator * (scale // x.denominator)
+
+    # up() written out: the call would dominate this loop
+    pushed = _pushes([(ax.numerator * (L // ax.denominator),
+                       ay.numerator * (L // ay.denominator)) for ax, ay in labs],
+                     (up(kx, d), up(ky, d), up(wx, L), up(wy, L)))
     bars, essential = barcode_pairs(pushed[:P.n_rows], pushed[P.n_rows:],
                                     P.column_dicts(), P.field)
-    return Barcode(bars + [(b, INF) for b in essential])
+    s = L * d
+    return Barcode([(Fraction(b, s), Fraction(e, s)) for b, e in bars]
+                   + [(Fraction(b, s), INF) for b in essential])
 
 
 def parse_line(text: str) -> AdmissibleLine:

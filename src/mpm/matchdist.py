@@ -14,12 +14,13 @@ the grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
 The push (lines._pushes, fed by the chart _chart), the box deviation,
 the bars along a line (onepar.barcode_pairs) and the per-line
 Wasserstein distance are each written once, generic in the number
-type: on Fractions (label_deviation, local_bound, barcode_along_line,
-wasserstein) they are exact, and the branch-and-bound loop runs the
-same code on floats with a small inflation (~1e-9) on every
-upper-bound term.  The final lower bound is re-evaluated in exact
-arithmetic on the report's argmax_admissible line (integral p and
-p = inf); a value above the inflated float upper bound is an error.
+type: exact on Fractions (label_deviation, local_bound, wasserstein)
+and on ints scaled by common denominators (barcode_along_line), while
+the branch-and-bound loop runs the same code on floats with a small
+inflation (~1e-9) on every upper-bound term.  The final lower bound is
+re-evaluated in exact arithmetic on the report's argmax_admissible line
+(integral p and p = inf); a value above the inflated float upper bound
+is an error.
 
 Each push and each reduction is computed once.  When a box is split,
 the children of every candidate split are bounded in one batch over

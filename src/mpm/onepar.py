@@ -17,7 +17,6 @@ dropping the non-pivot entries of the pivot columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .barcode import Barcode
@@ -51,13 +50,13 @@ def barcode_pairs(row_values: Sequence, col_values: Sequence,
                   memo: Optional[dict] = None):
     """Bars of a 1-parameter reduction, read off its pivot pairing.
 
-    Label values only need to be totally ordered (Fractions or floats).
-    Returns ([(birth, death) finite bars], [essential births]): the
-    pivot pairs with birth < death, in pivot order, and the unpaired
-    rows' values in row order, which is ascending.  When every nonzero
-    entry has row value <= column value, a reduced column is a sum of
-    columns valued at most its own, so no pair has birth > death and
-    only the pairs with birth == death are dropped.
+    Label values only need to be totally ordered (ints, Fractions or
+    floats).  Returns ([(birth, death) finite bars], [essential
+    births]): the pivot pairs with birth < death, in pivot order, and
+    the unpaired rows' values in row order, which is ascending.  When
+    every nonzero entry has row value <= column value, a reduced column
+    is a sum of columns valued at most its own, so no pair has
+    birth > death and only the pairs with birth == death are dropped.
 
     The pivot pairing depends on the values only through the row order
     and the column order (stable sorts, so ties break by index).  memo,
@@ -119,28 +118,3 @@ def barcode_of(P: Presentation) -> Barcode:
         [g[0] for g in P.row_labels], [g[0] for g in P.col_labels],
         P.column_dicts(), P.field)
     return Barcode(bars + [(b, INF) for b in essential])
-
-
-def interpolation_breakpoints(L0: Sequence[Fraction], L1: Sequence[Fraction]) -> list[Fraction]:
-    """Parameters t in (0, 1) where interpolated labels cross.
-
-    The labels at time t are (1-t) L0 + t L1; a pair (i, j) crosses at
-    t = d0 / (d0 - d1) with d0 = L0_i - L0_j and d1 = L1_i - L1_j when
-    d0 != d1.  Between consecutive breakpoints the weak order of the
-    labels is constant, and the endpoint label vectors are compatible
-    with every interior one.
-    """
-    if len(L0) != len(L1):
-        raise DataError("label vectors differ in length")
-    cuts = set()
-    n = len(L0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d0 = L0[i] - L0[j]
-            d1 = L1[i] - L1[j]
-            if d0 == d1:
-                continue
-            t = Fraction(d0, d0 - d1)
-            if 0 < t < 1:
-                cuts.add(t)
-    return sorted(cuts)

@@ -63,6 +63,36 @@ def test_barcode_along_line(files, capsys):
     assert capsys.readouterr().out == "0 3\n0 inf\n"
 
 
+FPM_ADVERSARIAL = """fpm 1
+field 3
+params 2
+rows 5
+-1/3 2/7
+-1/3 2/7
+1/1000000000000 -5/7
+-2/7 -1/3
+3/7 -1/1000000000000
+cols 4
+1/3 2/7 : 0 1 1 1
+1/1000000000000 6/7 : 1 1 2 1
+5/3 -1/3 : 2 1 3 2
+2 1 : 0 1 1 1 2 1 3 1
+"""
+
+
+def test_barcode_along_line_golden(tmp_path, capsys):
+    # negative labels with denominators 3, 7 and 10**12, and a base point
+    # with denominator 10**12 + 39; recorded from the Fraction pushes
+    path = tmp_path / "adv.fpm"
+    path.write_text(FPM_ADVERSARIAL)
+    assert main(["barcode", "--line", "1,3/7;1/1000000000039,-2/7", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "-1/21 9/7\n"
+        "117/7000000000273000000000000 5000000000192/7000000000273\n"
+        "1999999999993/7000000000000 inf\n"
+        "4/7 8/7\n")
+
+
 def test_restrict_roundtrip(files, capsys, tmp_path):
     out = tmp_path / "r.fpm"
     assert main(["restrict", "--line", "1,1;0,0", files["f.fpm"],

@@ -82,6 +82,26 @@ def test_pth_root_within_one_ulp_at_every_magnitude():
     assert wasserstein(Barcode([(0, 1)]), Barcode([(F(1, 10**20), 1)]), 2) == 1e-20
 
 
+def test_non_integral_pnorm_keeps_tiny_and_large_values():
+    # float powers of the raw values would give 0.0 for 1e-250 and
+    # overflow for 1e250; the scaled powers keep a few ulps at every scale
+    assert vec_pnorm([F(1, 10**250)], F(3, 2)) == 1e-250
+    assert vec_pnorm([F(10**250)], F(3, 2)) == 1e250
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for e in range(-300, 301, 25):
+            vals = [F(10) ** e, -3 * F(10) ** e / 7]
+            want = sum(abs(Decimal(v.numerator) / v.denominator) ** Decimal(2.5)
+                       for v in vals) ** (1 / Decimal(2.5))
+            got = vec_pnorm(vals, F(5, 2))
+            assert abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(got)), e
+    assert vec_pnorm([F(0), F(0)], F(3, 2)) == 0.0
+    assert vec_pnorm([F(1), math.inf], F(3, 2)) == math.inf
+    # only a norm beyond the double range overflows
+    with pytest.raises(OverflowError):
+        vec_pnorm([F(10**308)] * 4, F(3, 2))
+
+
 def test_pnorms():
     vals = [F(1), F(-1)]
     assert vec_pnorm(vals, F(1)) == 2

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import mpm.lines
 from mpm import (AdmissibleLine, Barcode, DataError, INF, LimitLine,
                  Presentation, approx_matching_distance, barcode_along_line,
-                 barcode_of, free_presentation, hilbert_dim, parse_line, push,
-                 restrict_presentation, sampled_lower_bound, wasserstein)
+                 barcode_of, free_presentation, hilbert_dim, labels, parse_line,
+                 push, restrict_presentation, sampled_lower_bound, wasserstein)
 from mpm.field import PrimeField
 from mpm.fixtures import random_presentation
 from mpm.grades import vec_pnorm
@@ -104,12 +105,33 @@ def test_push_monotone():
         assert push(line, a) <= push(line, b)
 
 
+def _relabel(rng, P):
+    """P with every label coordinate moved by a strictly increasing map of
+    its axis: same matrix and label order (ties kept), but negative
+    coordinates with denominators 3, 7 and 10**12."""
+    steps = (F(1, 3), F(2, 7), F(1, 10**12), F(5, 3), F(3, 7))
+    maps = []
+    for axis in (0, 1):
+        value = F(-rng.randrange(1, 40), 7)
+        new = {}
+        for x in sorted({a[axis] for a in labels(P)}):
+            new[x] = value
+            value += rng.choice(steps)
+        maps.append(new)
+    moved = [(maps[0][a[0]], maps[1][a[1]]) for a in labels(P)]
+    return Presentation(P.field, 2, tuple(moved[:P.n_rows]),
+                        tuple(moved[P.n_rows:]), P.columns)
+
+
 def test_restriction_consistent_with_hilbert():
     # the restricted presentation agrees with P's Hilbert function on the
     # line, and barcode_along_line, which builds no restriction, reads off
-    # the same bars in the same order, on the line and on both limit lines
-    # through its base point
+    # the same Fraction bars in the same order, on the line and on both
+    # limit lines through its base point; also with labels moved to
+    # negative coordinates with denominators 3, 7 and 10**12 and a base
+    # point with denominator 10**12 + 39
     rng = random.Random(71)
+    big = 10**12 + 39
     for _ in range(25):
         P = random_presentation(rng, n_params=2, max_rows=4, max_cols=4)
         line = _random_line(rng)
@@ -117,10 +139,30 @@ def test_restriction_consistent_with_hilbert():
         for _ in range(4):
             t = F(rng.randrange(-8, 33), 4)
             assert hilbert_dim(R, (t,)) == hilbert_dim(P, line(t))
-        for ln in (line, LimitLine(0, line.w), LimitLine(1, line.w)):
-            got = barcode_along_line(P, ln)
-            want = barcode_of(restrict_presentation(P, ln))
-            assert got == want and got.bars == want.bars
+        w = (F(rng.randrange(-3 * big, 3 * big), big), F(rng.randrange(-21, 22), 7))
+        for Q, base in ((P, line.w), (_relabel(rng, P), w)):
+            for ln in (AdmissibleLine(line.v, base), LimitLine(0, base), LimitLine(1, base)):
+                got = barcode_along_line(Q, ln).bars
+                assert got == barcode_of(restrict_presentation(Q, ln)).bars
+                assert all(type(b) is F and (type(d) is F or d == INF) for b, d in got)
+
+
+def test_barcode_along_line_pairs_int_pushes(monkeypatch, pres_f, h1_f):
+    seen = []
+    original = mpm.lines.barcode_pairs
+
+    def spy(row_values, col_values, columns, field, memo=None):
+        seen.append(list(row_values) + list(col_values))
+        return original(row_values, col_values, columns, field, memo)
+
+    monkeypatch.setattr(mpm.lines, "barcode_pairs", spy)
+    P = _relabel(random.Random(83), h1_f)
+    for line in (AdmissibleLine((1, F(7, 3)), (F(1, 10**12 + 39), F(-2, 7))),
+                 LimitLine(0, (F(-1, 3), F(2, 7))), LimitLine(1, (0, 0))):
+        for Q in (pres_f, P):
+            barcode_along_line(Q, line)
+    assert len(seen) == 6
+    assert all(type(x) is int for values in seen for x in values)
 
 
 def test_barcode_along_line_builds_no_presentation(monkeypatch, pres_f, pres_g):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from mpm import (Barcode, DataError, INF, PrimeField, Presentation,
-                 barcode_of, interpolation_breakpoints, labels, rank_invariant,
+                 barcode_of, labels, rank_invariant,
                  reduce_to_normal_form, wasserstein, wasserstein_power)
 from mpm.fixtures import (random_matrix, random_paired_presentations,
                           random_presentation)
@@ -177,29 +177,3 @@ def test_barcode_pairs_memo_matches_fresh_reduction():
                     orders.add(tuple(tuple(sorted(range(len(v)), key=lambda i: (v[i], i)))
                                      for v in (rows, cols)))
                 assert len(memo) == len(orders)
-
-
-def test_breakpoints_examples():
-    assert interpolation_breakpoints([F(0), F(1)], [F(1), F(0)]) == [F(1, 2)]
-    assert interpolation_breakpoints([F(0), F(1)], [F(0), F(1)]) == []
-    # every pair of these labels meets at the single time 2/3
-    assert interpolation_breakpoints([F(0), F(2), F(4)], [F(3), F(2), F(1)]) == [F(2, 3)]
-
-
-def test_breakpoints_separate_order_changes():
-    rng = random.Random(53)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        L0 = [F(rng.randrange(-6, 7)) for _ in range(n)]
-        L1 = [F(rng.randrange(-6, 7)) for _ in range(n)]
-        cuts = interpolation_breakpoints(L0, L1)
-        stops = [F(0)] + cuts + [F(1)]
-        for lo, hi in zip(stops, stops[1:]):
-            mids = [(lo * 2 + hi) / 3, (lo + 2 * hi) / 3]
-
-            def order_at(t):
-                vals = [(1 - t) * a + t * b for a, b in zip(L0, L1)]
-                return [sorted(range(n), key=lambda i: (vals[i], i)),
-                        [vals[i] == vals[j] for i in range(n) for j in range(n)]]
-
-            assert order_at(mids[0]) == order_at(mids[1])
