@@ -8,9 +8,12 @@ jointly translating both modules into [0, C]^2, pushed labels are
 constant in s beyond |s| = C, so the square captures the supremum over
 all admissible lines.
 
-The push of a fixed grade is monotone in s on each side of s = 0 and
-monotone in mu on each side of mu = 0, so its extrema over a box sit on
-the grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
+The push of a fixed grade does not decrease in s on s <= 0 and does not
+increase on s >= 0, and is monotone in mu on each side of mu = 0.  So
+on a box off both seams each label's max over the box is at one of the
+two corners on the s-edge nearer to s = 0 and its min at one of the two
+on the far s-edge; only boxes that straddle s = 0 or mu = 0 scan the
+grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
 The push (lines._pushes, fed by the chart _chart), the box deviation,
 the bars along a line (onepar.barcode_pairs) and the per-line
 Wasserstein distance are each written once, generic in the number
@@ -125,18 +128,34 @@ def _deviations(label_vec, boxes) -> list:
     T1 = kx (ax - wx) and T2 = ky (ay - wy), where kx, ky >= 0.  For
     fixed mu, (wx, wy) is (0, -s) for s < 0 and (s, 0) for s >= 0, so T1
     is constant for s < 0 and non-increasing for s >= 0, and T2 is
-    non-decreasing for s < 0 and constant for s >= 0.  Each term thus
-    takes its max over [sl, sh] at an endpoint, so the sup of the push
-    is the larger endpoint push; and when sl < 0 < sh the push at s = 0
-    is max(T1(sl), T2(sh)), which is at least both endpoint pushes and
-    at most their max, so the inf is at an endpoint as well.  Only the
+    non-decreasing for s < 0 and constant for s >= 0: the push does not
+    decrease in s on s <= 0 and does not increase on s >= 0.  Only the
     signs of kx and ky are used, so this holds for labels of any sign,
-    and rounding is monotone, so it holds for float pushes too: no cut
-    at s = 0 is needed.  For fixed s, the push is the max of a constant
-    and a function affine in mu on each side of mu = 0 (kx = 1 + mu
-    below, ky = 1 - mu above), hence monotone on each side, so its
-    extremes sit at ml, mh and, when straddled, mu = 0.  The extremes
-    over the box therefore sit on the grid {sl, sh} x mu-cuts.
+    and rounding is monotone, so it holds for float pushes too.  For
+    fixed s, the push is the max of a constant and a function affine in
+    mu on each side of mu = 0 (kx = 1 + mu below, ky = 1 - mu above),
+    hence monotone on each side, for floats as well.
+
+    Off the seams (sl >= 0 or sh <= 0, and ml >= 0 or mh <= 0), call
+    the s-edge nearer to s = 0 (sl when sl >= 0, sh when sh <= 0) near
+    and the other far.  At every mu the push on the near edge is the
+    max over [sl, sh] and the push on the far edge the min; along each
+    edge the push is monotone in mu.  So each label's max over the box
+    is the larger of its two near-corner pushes and its min the smaller
+    of its two far-corner pushes.  The center lies in the box, so its
+    push lies between the two and cannot change max(hi - c, c - lo): it
+    is left out of both.  The deviation is never -0.0 (a tie returns
+    (c - lo) + 0), nor is the scan's, so it equals, bit for bit, what
+    the grid scan below gives on the same box.
+
+    On a seam box the push is not monotone in s or in mu across the
+    seam, so there the grid is scanned, with the center.  When
+    sl < 0 < sh, each term takes its max over [sl, sh] at an endpoint,
+    so the sup is the larger endpoint push, and the push at s = 0 is
+    max(T1(sl), T2(sh)), which is at least both endpoint pushes, so the
+    inf is at an endpoint as well: no cut at s = 0 is needed.  When
+    ml < 0 < mh, the extremes sit at ml, mh or mu = 0.  The grid is
+    {sl, sh} x mu-cuts.
     """
     zero = type(boxes[0][0])(0)
     one = zero + 1
@@ -151,12 +170,20 @@ def _deviations(label_vec, boxes) -> list:
     out = []
     for sl, sh, ml, mh in boxes:
         center = at((sl + sh) / 2, (ml + mh) / 2)
-        mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
-        grid = [at(s, mu) for s in (sl, sh) for mu in mu_cuts]
-        # max(hi - c, c - lo) written out, as in _pushes
-        devs = [y if (y := c - lo) > (x := hi - c) else x
-                for c, hi, lo in zip(center, map(max, center, *grid),
-                                     map(min, center, *grid))]
+        if sl < zero < sh or ml < zero < mh:
+            mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
+            grid = [at(s, mu) for s in (sl, sh) for mu in mu_cuts]
+            # max(hi - c, c - lo) written out, as in _pushes
+            devs = [y if (y := c - lo) > (x := hi - c) else x
+                    for c, hi, lo in zip(center, map(max, center, *grid),
+                                         map(min, center, *grid))]
+        else:
+            near, far = (sl, sh) if sl >= zero else (sh, sl)
+            # hi = max(a, b) on the near edge, lo = min(d, e) on the far one
+            devs = [x if (x := (a if a > b else b) - c) > (y := c - (d if d < e else e))
+                    else y + zero
+                    for c, a, b, d, e in zip(center, at(near, ml), at(near, mh),
+                                             at(far, ml), at(far, mh))]
         out.append((center, devs))
     return out
 
@@ -284,15 +311,18 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     p = inf); upper adds the local push-deviation bounds of the live
     boxes.  Boxes are processed best-first by upper bound and split one
     direction at a time by the rule in split_candidates; children whose
-    bound cannot beat the current lower are pruned.  Raises
-    SubdivisionLimitError (with the partial report attached) if the
-    depth guard is hit, and ComputationError if the exact lower bound
-    exceeds the inflated float upper bound.
+    bound cannot beat the current lower are pruned.  Raises DataError
+    for epsilon <= 0 or max_depth < 0 (max_depth 0 evaluates the root
+    line only), SubdivisionLimitError (with the partial report attached)
+    if the depth guard is hit, and ComputationError if the exact lower
+    bound exceeds the inflated float upper bound.
     """
     p = as_pexp(p)
     eps = float(epsilon)
     if not eps > 0:
         raise DataError("epsilon must be positive")
+    if max_depth < 0:
+        raise DataError(f"max_depth must be non-negative, got {max_depth}")
     for P in (P_M, P_N):
         if P.n_params != 2:
             raise DataError("matching distance requires 2-parameter presentations")
@@ -360,10 +390,11 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         """
         sl, sh, ml, mh = box
         cands = []
-        for cut in ((sl + sh) / 2, 0.0):
+        # a midpoint equal to the seam is one cut, bounded once
+        for cut in dict.fromkeys(((sl + sh) / 2, 0.0)):
             if sl < cut < sh:
                 cands.append((0, cut, [(sl, cut, ml, mh), (cut, sh, ml, mh)]))
-        for cut in ((ml + mh) / 2, 0.0):
+        for cut in dict.fromkeys(((ml + mh) / 2, 0.0)):
             if ml < cut < mh:
                 cands.append((1, cut, [(sl, sh, ml, cut), (sl, sh, cut, mh)]))
         if not cands:

@@ -210,3 +210,11 @@ def test_computation_failure_exit_code(files, capsys):
     code = main(["matchdist", "--p", "1", "--eps", "0.000001",
                  "--max-depth", "3", files["f.fpm"], files["g.fpm"]])
     assert code == 3
+
+
+def test_negative_max_depth_is_a_data_error(files, capsys):
+    # bad input exits 2 like a bad --eps, not 3 like a failed computation
+    pair = [files["f.fpm"], files["g.fpm"]]
+    assert main(["matchdist", "--p", "inf", "--eps", "0.1", "--max-depth", "-1"] + pair) == 2
+    assert "max_depth" in capsys.readouterr().err
+    assert main(["matchdist", "--p", "inf", "--eps", "-1"] + pair) == 2

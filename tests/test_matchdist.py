@@ -4,16 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (AdmissibleLine, INF, ComputationError, LimitLine, LineParam,
-                 ParamBox, SubdivisionLimitError, approx_matching_distance,
+from mpm import (AdmissibleLine, INF, ComputationError, DataError, LimitLine,
+                 LineParam, ParamBox, SubdivisionLimitError, approx_matching_distance,
                  barcode_along_line, free_presentation,
                  line_of_param, local_bound, push, sampled_lower_bound,
                  wasserstein)
 from mpm import matchdist
 from mpm.field import PrimeField
 from mpm.lines import _pushes
-from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _line_value,
-                           label_deviation)
+from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _deviations,
+                           _line_value, _lp, label_deviation)
 from mpm.presentation import Presentation, labels
 
 from oracles import box_sample_max_power
@@ -148,6 +148,82 @@ def test_label_deviation_needs_no_s_zero_cut():
         assert label_deviation(a, box) == full
 
 
+def _interval(rng, kind, n):
+    """Integers lo <= hi in [-n, n] of one kind: off 0 on either side,
+    touching 0 from either side, straddling 0, or a single point."""
+    a, b = sorted(rng.randint(1, n) for _ in range(2))
+    if kind == "point":
+        c = rng.randint(-n, n)
+        return c, c
+    return {"pos": (a, b), "neg": (-b, -a), "touch+": (0, b), "touch-": (-b, 0),
+            "straddle": (-a, b)}[kind]
+
+
+def _full_grid_deviation(a, box):
+    """Exact sup over the box of |push - push at the center|, on the grid
+    of the box's corners and both seams, by the public push."""
+    def cuts(lo, hi):
+        return (lo, F(0), hi) if lo < 0 < hi else (lo, hi)
+    c = push(line_of_param(box.center), a)
+    return max(abs(push(line_of_param(LineParam(s, mu)), a) - c)
+               for s in cuts(box.s_lo, box.s_hi) for mu in cuts(box.mu_lo, box.mu_hi))
+
+
+def _full_grid_scan(label_vec, box):
+    """Float center pushes and per-label max |push - center push| over
+    the grid of the box's corners and both seams."""
+    sl, sh, ml, mh = box
+
+    def cuts(lo, hi):
+        return (lo, 0.0, hi) if lo < 0 < hi else (lo, hi)
+    center = _pushes(label_vec, _chart((sl + sh) / 2, (ml + mh) / 2, 0.0, 1.0))
+    grid = [_pushes(label_vec, _chart(s, mu, 0.0, 1.0))
+            for s in cuts(sl, sh) for mu in cuts(ml, mh)]
+    return center, [max(abs(g[i] - c) for g in grid) for i, c in enumerate(center)]
+
+
+def test_box_deviations_match_full_grid():
+    # the box deviation reads each label's extremes off two corners per
+    # s-edge on boxes off the seams and scans the grid on seam boxes; both
+    # must give the full-grid sup, exactly on Fractions and bit for bit on
+    # floats, on boxes of every kind (s = 0 touched as 0.0 or -0.0, mu
+    # ranges reaching the limit lines) and labels of any sign
+    rng = random.Random(211)
+    kinds = ("pos", "neg", "touch+", "touch-", "straddle", "point")
+    hexed = lambda xs: [x.hex() for x in xs]
+
+    def cases():
+        # the push of (0, -1) on s = 1 is least at mu = 0, inside the mu range
+        yield [(F(0), F(-1))], [(F(1), F(1))], ParamBox(0, 1, -1, F(1, 4))
+        for _ in range(300):
+            labs_m, labs_n = ([(F(rng.randrange(-30, 31), rng.randint(1, 6)),
+                                F(rng.randrange(-30, 31), rng.randint(1, 6)))
+                               for _ in range(rng.randint(1, 4))] for _ in range(2))
+            s_lo, s_hi = _interval(rng, rng.choice(kinds), 16)
+            mu_lo, mu_hi = _interval(rng, rng.choice(kinds), 8)
+            yield labs_m, labs_n, ParamBox(F(s_lo, 4), F(s_hi, 4), F(mu_lo, 8), F(mu_hi, 8))
+
+    def as_float(x):
+        return -0.0 if x == 0 and rng.random() < 0.5 else float(x)
+
+    for labs_m, labs_n, box in cases():
+        full = [_full_grid_deviation(a, box) for a in labs_m]
+        assert [label_deviation(a, box) for a in labs_m] == full
+        assert local_bound(labs_m, box, math.inf) == max(full)
+        assert local_bound(labs_m, box, 1) == sum(full)
+        fbox = tuple(map(as_float, (box.s_lo, box.s_hi, box.mu_lo, box.mu_hi)))
+        M = _ModuleData(free_presentation(labs_m, F2), F(0), F(0))
+        N = _ModuleData(free_presentation(labs_n, F2), F(0), F(0))
+        label_vec = M.labels + N.labels
+        center, devs = _full_grid_scan(label_vec, fbox)
+        [(got_center, got_devs)] = _deviations(label_vec, [fbox])
+        assert (hexed(got_center), hexed(got_devs)) == (hexed(center), hexed(devs))
+        k = len(M.labels)
+        for pf in (None, 1.0, 2.0):
+            [(_, bound)] = _box_bounds(M, N, [fbox], pf)
+            assert bound.hex() == (_lp(devs[:k], pf) + _lp(devs[k:], pf)).hex()
+
+
 # (seed, p, lower, upper, lines_evaluated, max_depth_seen, argmax_line) of
 # approx_matching_distance(P, Q, p, 1/4) on
 # random_paired_presentations(Random(seed), 2, 4, 4): every decision of the
@@ -171,17 +247,27 @@ GOLDEN_APPROX = [
     (21, 1, F(5, 2), 2.7480468760002794, 1153, 17, (F(15, 4), F(-1, 2))),
     (21, 2, 1.1726039399558574, 1.4214463332780658, 707, 15, (F(15, 4), F(-1, 2))),
     (21, INF, F(3, 4), 0.9975585947506426, 405, 14, (F(15, 4), F(0, 1))),
+    # "plateau<n>": random_paired_presentations(Random(n), 2, 3, 3) at
+    # eps 1/10, from the matchdist-plateau pool, whose trees are deep
+    ("plateau3", INF, F(3, 4), 0.8491210947500991, 1731, 12, (F(0, 1), F(0, 1))),
+    ("plateau25", INF, F(3, 1), 3.0996093760000996, 1861, 14, (F(-3, 1), F(1, 2))),
 ]
 
 
-@pytest.mark.parametrize("seed", sorted({row[0] for row in GOLDEN_APPROX}))
+@pytest.mark.parametrize("seed", dict.fromkeys(row[0] for row in GOLDEN_APPROX))
 def test_approx_decisions_are_pinned(seed):
     from mpm.fixtures import random_paired_presentations
-    P, Q = random_paired_presentations(random.Random(seed), 2, 4, 4)
+    if isinstance(seed, str):
+        size, eps = 3, F(1, 10)
+        rng = random.Random(int(seed.removeprefix("plateau")))
+    else:
+        size, eps = 4, F(1, 4)
+        rng = random.Random(seed)
+    P, Q = random_paired_presentations(rng, 2, size, size)
     for s, p, lower, upper, lines, depth, argmax in GOLDEN_APPROX:
         if s != seed:
             continue
-        rep = approx_matching_distance(P, Q, p, F(1, 4))
+        rep = approx_matching_distance(P, Q, p, eps)
         assert (type(rep.lower), rep.lower) == (type(lower), lower)
         assert (rep.upper, rep.lines_evaluated, rep.max_depth_seen) == (upper, lines, depth)
         assert rep.argmax_line == LineParam(*argmax)
@@ -222,6 +308,16 @@ def test_approx_empty_presentations():
     A = Presentation(F2, 2, (), (), ())
     rep = approx_matching_distance(A, A, math.inf, F(1, 10))
     assert rep.lower == 0 and rep.upper == 0
+
+
+def test_approx_rejects_negative_max_depth(pres_f, pres_g):
+    # a negative depth limit is bad input, not a failed computation;
+    # max_depth = 0 (the root line only) stays valid
+    with pytest.raises(DataError, match="max_depth"):
+        approx_matching_distance(pres_f, pres_g, math.inf, F(1, 10), max_depth=-1)
+    with pytest.raises(SubdivisionLimitError) as info:
+        approx_matching_distance(pres_f, pres_g, math.inf, F(1, 10), max_depth=0)
+    assert info.value.report.lines_evaluated == 1
 
 
 def test_approx_depth_guard(pres_f, pres_g):
