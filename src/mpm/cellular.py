@@ -4,17 +4,20 @@ The kernel of a morphism of free modules is free for n <= 2 parameters.
 kernel_basis computes a basis that is also a Groebner basis for the
 colexicographically ordered domain basis (pairwise distinct leading
 components): the columns are swept once per distinct y-grade, in
-ascending x within the sweep, reducing images against a fresh echelon
-whose combinations are tracked; a column whose image dies yields a
-syzygy whose grade is the join of its support grades.  Only the first
-death of a column is kept: a column that died in an earlier sweep dies
-again and adds nothing, so later sweeps skip it (a single colex pass
-would emit wrong grades: three columns hitting one generator at grades
-(0,2), (2,0), (1,1) must produce kernel generators at (2,1) and (1,2),
-not (2,2)).
+ascending x within the sweep, reducing images against an echelon whose
+combinations are tracked; a column whose image dies yields a syzygy
+whose grade is the join of its support grades.  Only the first death of
+a column is kept: a column that died in an earlier sweep dies again and
+adds nothing, so later sweeps skip it (a single colex pass would emit
+wrong grades: three columns hitting one generator at grades (0,2),
+(2,0), (1,1) must produce kernel generators at (2,1) and (1,2), not
+(2,2)).  Each sweep resumes from the previous one: the columns before
+its first new column are reduced exactly as before, so their echelon
+entries are kept and only the rest of the sweep is reduced.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -102,7 +105,11 @@ class FilteredComplex:
         return [c for c in self.cells if c[1] == dim]
 
     def with_grades(self, grades: Mapping[str, Grade]) -> "FilteredComplex":
-        cells = [(cid, dim, grades[cid]) for cid, dim, _ in self.cells]
+        cells = []
+        for cid, dim, _ in self.cells:
+            if cid not in grades:
+                raise DataError(f"no grade given for cell {cid}")
+            cells.append((cid, dim, grades[cid]))
         return FilteredComplex(self.field, self.n_params, cells, self.boundary)
 
     def grade_map(self) -> dict[str, Grade]:
@@ -138,6 +145,23 @@ class FilteredComplex:
 # ---------------------------------------------------------------------------
 # boundary maps
 
+def _boundary_columns(X: FilteredComplex, j: int):
+    """Row grades, column grades and sparse columns of the j-th boundary map."""
+    rows = X.cells_of_dim(j - 1) if j >= 1 else []
+    cols = X.cells_of_dim(j)
+    row_pos = {cid: i for i, (cid, _, _) in enumerate(rows)}
+    q = X.field.q
+    columns = []
+    for cid, _, _ in cols:
+        entries: SparseCol = {}
+        for fid, coeff in X.boundary[cid]:
+            r = row_pos[fid]
+            entries[r] = (entries.get(r, 0) + coeff) % q
+        columns.append({r: v for r, v in entries.items() if v})
+    return (tuple(g for _, _, g in rows), tuple(g for _, _, g in cols),
+            columns)
+
+
 def boundary_morphism(X: FilteredComplex, j: int) -> Presentation:
     """Matrix of the j-th boundary map of the associated chain complex.
 
@@ -145,19 +169,7 @@ def boundary_morphism(X: FilteredComplex, j: int) -> Presentation:
     """
     if j < 0:
         raise DataError("boundary degree must be nonnegative")
-    rows = X.cells_of_dim(j - 1) if j >= 1 else []
-    cols = X.cells_of_dim(j)
-    row_pos = {cid: i for i, (cid, _, _) in enumerate(rows)}
-    columns = []
-    for cid, _, _ in cols:
-        entries: dict[int, int] = {}
-        for fid, coeff in X.boundary[cid]:
-            entries[row_pos[fid]] = (entries.get(row_pos[fid], 0) + coeff) % X.field.q
-        columns.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
-    return Presentation(X.field, X.n_params,
-                        tuple(g for _, _, g in rows),
-                        tuple(g for _, _, g in cols),
-                        tuple(columns))
+    return Presentation(X.field, X.n_params, *_boundary_columns(X, j))
 
 
 # ---------------------------------------------------------------------------
@@ -249,36 +261,72 @@ def kernel_basis(gamma: Presentation) -> KernelBasis:
 
     Each kept syzygy is lead-reduced in colex order (reversed grade,
     then index) as it is found; leads[i] is its colex lead.
+
+    Two things make the sweeps cheap without changing any output:
+
+    (d) Grade ranks.  The sweep sees each grade coordinate as its rank
+        among the distinct values of that coordinate in the column
+        grades.  The rank map is strictly increasing per coordinate, so
+        it preserves <= and max there, hence every order, slice test,
+        product-order test and join; the syzygy grades are mapped back
+        once, at the end.
+    (e) Resumed sweeps.  Every y-grade is some column's, so sweep y has
+        a first new column (of y-grade y) in the one x-order; let the
+        prefix be the positions before it.  The columns there have
+        y-grade < y, so by (a) sweep y reduces exactly the prefix
+        columns of the previous sweep minus those that died there.  A
+        dying column adds no entry, and the others meet the same
+        earlier entries, so they leave the same residuals, pivots and
+        tracked expressions: the prefix's echelon entries are the
+        previous sweep's, and none of its columns dies anew.  Entries
+        are never replaced, so these are the previous echelon's first
+        entries, and the sweep keeps them and reduces only from its
+        first new column on.
     """
-    dg = gamma.col_labels
+    return _kernel_sweep(gamma.field, gamma.n_params, gamma.col_labels,
+                         gamma.column_dicts())
+
+
+def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
+                  cols: Sequence[SparseCol]) -> KernelBasis:
+    """kernel_basis on column grades dg and columns cols, unchecked."""
     k = len(dg)
-    field = gamma.field
-    colex_order = sorted(range(k), key=lambda i: (tuple(reversed(dg[i])), i))
+    values = [sorted({g[c] for g in dg}) for c in range(n_params)]
+    ranks = [{v: r for r, v in enumerate(vs)} for vs in values]
+    rg = [tuple(rk[v] for rk, v in zip(ranks, g)) for g in dg]
+    colex_order = sorted(range(k), key=lambda i: (rg[i][::-1], i))
     rank = {i: r for r, i in enumerate(colex_order)}
-    cols = gamma.column_dicts()
-    slices = sorted({g[1] for g in dg}) if gamma.n_params == 2 else [None]
+    x_order = sorted(range(k), key=lambda i: (rg[i][0], i))
+    y_of = [g[1] for g in rg] if n_params == 2 else [0] * k
+    first_new: dict[int, int] = {}
+    for pos, i in enumerate(x_order):
+        first_new.setdefault(y_of[i], pos)
 
     emitted: list[_Elem] = []
     by_lead: dict[int, _Elem] = {}
     dead: set[int] = set()
-    for y in slices:
-        active = sorted((i for i in range(k)
-                         if i not in dead and (y is None or dg[i][1] <= y)),
-                        key=lambda i: (dg[i][0], i))
-        ech = ColumnEchelon(field, track=True)
-        for i in active:
+    ech = ColumnEchelon(field, track=True)
+    entry_pos: list[int] = []  # x-order position behind each echelon entry
+    for y, start in sorted(first_new.items()):
+        ech.truncate(bisect_left(entry_pos, start))
+        del entry_pos[ech.rank:]
+        for pos in range(start, k):
+            i = x_order[pos]
+            if y_of[i] > y or i in dead:
+                continue
             res, combo = ech.insert(cols[i], tag=i)
             if res:
+                entry_pos.append(pos)
                 continue
             dead.add(i)
             vec: SparseCol = {i: 1}
             vec.update((t, -v % field.q) for t, v in combo.items())
-            elem = _Elem(vec, _support_grade(vec, dg))
-            _place_distinct_lead(elem, by_lead, rank, dg, field)
+            elem = _Elem(vec, _support_grade(vec, rg))
+            _place_distinct_lead(elem, by_lead, rank, rg, field)
             emitted.append(elem)
     lead_of = {id(e): lead for lead, e in by_lead.items()}
     return KernelBasis(
-        tuple(e.grade for e in emitted),
+        tuple(tuple(vs[r] for vs, r in zip(values, e.grade)) for e in emitted),
         tuple(tuple(sorted(e.vec.items())) for e in emitted),
         tuple(lead_of[id(e)] for e in emitted))
 
@@ -319,21 +367,21 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
     Rows are a kernel basis of the j-th boundary map (for one parameter
     this is the tracked graded-SNF reduction), columns the (j+1)-cells,
     entries the coordinates of their boundaries in the kernel basis.
+    The two boundary matrices are not built as checked Presentations:
+    FilteredComplex has already checked face <= cell for every entry,
+    which is their label order.  The result gets the full check.
     """
     if j < 0:
         raise DataError("homology degree must be nonnegative")
-    gamma = boundary_morphism(X, j)
-    K = kernel_basis(gamma)
-    gamma_up = boundary_morphism(X, j + 1)
+    _, dg, cols = _boundary_columns(X, j)
+    K = _kernel_sweep(X.field, X.n_params, dg, cols)
+    _, up_grades, up_cols = _boundary_columns(X, j + 1)
     ech = ColumnEchelon(X.field, track=True)
     for idx, col in enumerate(K.columns):
         ech.insert(dict(col), tag=idx)
-    columns = []
-    for col in gamma_up.columns:
-        coords = ech.solve(dict(col))  # unique: kernel columns are independent
-        columns.append(tuple(sorted(coords.items())))
-    return Presentation(X.field, X.n_params, K.grades,
-                        gamma_up.col_labels, tuple(columns))
+    # unique coordinates: kernel columns are independent
+    columns = [ech.solve(col) for col in up_cols]
+    return Presentation(X.field, X.n_params, K.grades, up_grades, columns)
 
 
 def lift_presentations(P_M: Presentation, P_N: Presentation):

@@ -9,6 +9,7 @@ barcodes and the graded normal form (onepar).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .errors import DataError
@@ -139,6 +140,16 @@ class ColumnEchelon:
             self._table[max(res)] = (res, expr)
             self.rank += 1
         return res, combo
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n entries inserted and drop the later ones.
+
+        Pivots are never replaced, so the echelon is then exactly as it
+        was right after its n-th insertion that left a residual.
+        """
+        if n < self.rank:
+            self._table = dict(islice(self._table.items(), n))
+            self.rank = n
 
     def solve(self, col: SparseCol) -> SparseCol:
         """Coordinates of col in the inserted columns; DataError if outside."""

@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import mpm.cellular as C
 from mpm import (DataError, FilteredComplex, ParseError, Presentation,
                  PrimeField, boundary_morphism,
                  grade_injections, hilbert_dim, homology_presentation,
                  kernel_basis, lift_presentations, parse_complex,
-                 serialize_complex)
+                 serialize_complex, serialize_presentation)
+from mpm.field import ColumnEchelon
 from mpm.grades import grade_leq, join_all
 from mpm.lines import AdmissibleLine
-from mpm.fixtures import random_monotone_complex
+from mpm.fixtures import perturbed_refiltration, random_monotone_complex
 
 from oracles import dense_nullity_at, span_dim_at
 
@@ -106,6 +110,46 @@ def test_kernel_randomized_against_dense_nullspace():
             assert sum(grade_leq(c, g) for c in K.grades) == want
         # Groebner property
         assert len(set(K.leads)) == len(K.leads)
+
+
+def test_kernel_sweeps_resume_from_their_unchanged_prefix(monkeypatch):
+    # each sweep after the first reduces only from its first new column
+    # (the first of its y-grade in the (x, index) order) on, and the
+    # sweep's joins see integer grade ranks, not Fractions
+    X = random_monotone_complex(random.Random(17), n_vertices=10,
+                                edge_rate=0.5, max_cells=60)
+    gamma = boundary_morphism(X, 1)
+    dg = gamma.col_labels
+    pos = {i: p for p, i in enumerate(sorted(range(len(dg)), key=lambda i: (dg[i][0], i)))}
+    ys = sorted({g[1] for g in dg})
+    start = {y: min(pos[i] for i in pos if dg[i][1] == y) for y in ys}
+    inserted, joined = [], []
+    insert, support_grade = ColumnEchelon.insert, C._support_grade
+
+    def spy_insert(self, col, tag=None):
+        inserted.append(tag)
+        return insert(self, col, tag)
+
+    def spy_support_grade(vec, grades):
+        joined.extend(c for i in vec for c in grades[i])
+        return support_grade(vec, grades)
+
+    monkeypatch.setattr(ColumnEchelon, "insert", spy_insert)
+    monkeypatch.setattr(C, "_support_grade", spy_support_grade)
+    K = kernel_basis(gamma)
+    assert len(ys) > 1 and len(K) > 0
+    for i in pos:
+        # at most once per sweep that holds i at or after its first new column
+        assert inserted.count(i) <= sum(dg[i][1] <= y and pos[i] >= start[y] for y in ys)
+    assert joined and {type(c) for c in joined} == {int}
+
+
+def test_with_grades_names_a_missing_cell():
+    X = random_monotone_complex(random.Random(0))
+    grades = X.grade_map()
+    grades.pop("0")
+    with pytest.raises(DataError, match="no grade given for cell 0$"):
+        X.with_grades(grades)
 
 
 def test_grade_injections_fig_example(fig_complex_f):
@@ -291,3 +335,44 @@ def test_stability_smoke_on_fig_pair(fig_complex_f, fig_complex_g):
             got = sampled_lower_bound(A, B, p, [AdmissibleLine((1, 1), (0, 0)),
                                                 AdmissibleLine((1, 1), (2, 0))])
             assert float(got) <= norm + 1e-9
+
+
+# Draws for the pinned homology records: (count, keyword arguments of
+# random_monotone_complex).  Span 2 with denominator 1 ties many x- and
+# y-grades; triangle_rate 0 leaves degree 2 without cells.
+HOMOLOGY_GOLDEN_DRAWS = (
+    (4, dict(n_vertices=10, edge_rate=0.5, triangle_rate=0.6, max_cells=60)),
+    (3, dict(n_vertices=9, edge_rate=0.6, triangle_rate=0.7, span=2, denom=1)),
+    (2, dict(n_vertices=9, field=PrimeField(3))),
+    (2, dict(n_vertices=9, field=PrimeField(5), span=2, denom=1)),
+    (2, dict(n_vertices=10, n_params=1, edge_rate=0.5)),
+    (1, dict(n_vertices=8, n_params=1, field=PrimeField(3), span=2, denom=1)),
+    (1, dict(n_vertices=10, edge_rate=0.5, triangle_rate=0)),
+)
+
+
+def _homology_golden_cases():
+    """Both filtrations of each draw: the complex and its perturbed_refiltration."""
+    rng = random.Random(709)
+    for count, kwargs in HOMOLOGY_GOLDEN_DRAWS:
+        for _ in range(count):
+            X = random_monotone_complex(rng, **kwargs)
+            yield X
+            yield X.with_grades(perturbed_refiltration(rng, X))
+
+
+def _homology_records(X):
+    for j in (0, 1, 2):
+        K = kernel_basis(boundary_morphism(X, j))
+        yield (serialize_presentation(homology_presentation(X, j))
+               + f"{K.grades!r}\n{K.columns!r}\n{K.leads!r}\n")
+
+
+def test_homology_and_kernel_golden():
+    # homology presentations and kernel bases in degrees 0-2, recorded
+    # with the sweep that re-sorted and re-reduced every column per y-grade
+    want = json.loads((Path(__file__).parent / "homology_golden.json").read_text())
+    got = [r for X in _homology_golden_cases() for r in _homology_records(X)]
+    assert len(got) == len(want) == 90
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"record {k}"
