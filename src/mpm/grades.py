@@ -8,9 +8,11 @@ package the convention ``inf - inf = 0`` is applied through
 Exponents p live in [1, inf].  A finite p is a ``Fraction`` (the norm
 helpers here also take an int); p = inf is ``math.inf``.  For integral
 p all p-th powers of rationals stay exact, so distances can be compared
-as exact p-th powers; the distance itself is produced by
-:func:`pth_root` (integer Newton iteration, within one ulp of a double
-at every magnitude a double can hold).
+as exact p-th powers.  Every lp aggregate (a sum of p-th powers, or a
+max at p = inf) becomes a distance in one place, :func:`lp_root`: a
+float power is rooted by ``**``, an exact one by :func:`pth_root`
+(integer Newton iteration, within one ulp of a double at every
+magnitude a double can hold).
 """
 from __future__ import annotations
 
@@ -115,7 +117,7 @@ def ext_abs_diff(x: Extended, y: Extended) -> Extended:
 
 
 def _int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0 by Newton iteration on integers."""
+    """The floor of the k-th root of n >= 0, by Newton iteration on integers."""
     if n < 2:
         return n
     x = 1 << -(-n.bit_length() // k)
@@ -127,7 +129,7 @@ def _int_nth_root(n: int, k: int) -> int:
 
 
 def pth_root(x: Extended, p: PExp) -> float:
-    """Float p-th root of a nonnegative extended rational."""
+    """Float p-th root of a nonnegative extended rational, p integral."""
     if is_inf(x):
         return INF
     if x < 0:
@@ -135,7 +137,7 @@ def pth_root(x: Extended, p: PExp) -> float:
     if x == 0:
         return 0.0
     if not pexp_integral(p):
-        return float(x) ** (1.0 / float(p))
+        raise ValueError(f"pth_root needs an integral p, got {p}")
     k = int(p)
     if k == 1:
         return float(x)
@@ -148,25 +150,34 @@ def pth_root(x: Extended, p: PExp) -> float:
     return r / (1 << shift)
 
 
-def abs_power(x: Extended, p: PExp) -> Extended:
-    """|x|**p; exact Fraction for integral p, float otherwise."""
-    if is_inf(x):
-        return INF
-    if pexp_integral(p):
-        return abs(Fraction(x)) ** int(p)
-    return abs(float(x)) ** float(p)
+def lp_root(power: Extended, p: PExp) -> Extended:
+    """The lp distance from its aggregate: the p-th root of a sum of p-th
+    powers.
+
+    At p = 1 and p = inf (where the aggregate is a max) and for an
+    infinite aggregate the aggregate is the distance and is returned
+    unchanged, with its type.  A float power is rooted by ``**``; an
+    exact one (int or Fraction; at a non-integral p only a zero) by
+    :func:`pth_root`.
+    """
+    if p == 1 or is_inf(p) or is_inf(power):
+        return power
+    if isinstance(power, float):
+        return power ** (1.0 / float(p))
+    return pth_root(power, p)
 
 
 def vec_pnorm_power(values: Iterable[Extended], p: PExp) -> Extended:
     """Sum of |v|**p over values; exact for integral p.  Requires finite p."""
     if is_inf(p):
         raise ValueError("p-th power sum undefined for p = inf")
+    exact = pexp_integral(p)
+    e = int(p) if exact else float(p)
     total: Extended = Fraction(0)
     for v in values:
-        w = abs_power(v, p)
-        if is_inf(w):
+        if is_inf(v):
             return INF
-        total = total + w
+        total = total + (abs(Fraction(v)) ** e if exact else abs(float(v)) ** e)
     return total
 
 
@@ -188,23 +199,15 @@ def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
             if a > best:
                 best = a
         return best
-    if p == 1:
-        total = Fraction(0)
-        for v in vals:
-            if is_inf(v):
-                return INF
-            total += abs(v)
-        return total
     if pexp_integral(p):
-        power = vec_pnorm_power(vals, p)
-        return INF if is_inf(power) else pth_root(power, p)
+        return lp_root(vec_pnorm_power(vals, p), p)
     if any(is_inf(v) for v in vals):
         return INF
     top = max(map(abs, vals), default=0)
     if top == 0:
         return 0.0
     q = float(p)
-    norm = float(top) * sum(float(abs(v) / top) ** q for v in vals) ** (1.0 / q)
+    norm = float(top) * lp_root(sum(float(abs(v) / top) ** q for v in vals), p)
     if math.isinf(norm):
         raise OverflowError("lp-norm exceeds the double range")
     return norm

@@ -42,8 +42,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ComputationError, DataError, SubdivisionLimitError
-from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, pexp_integral,
-                     rat, vec_pnorm)
+from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, lp_root,
+                     pexp_integral, rat, vec_pnorm)
 from .lines import AdmissibleLine, Line, LimitLine, _pushes, barcode_along_line
 from .onepar import barcode_pairs
 from .presentation import Presentation, labels
@@ -252,11 +252,12 @@ class _ModuleData:
 
 def _lp(devs: list, pf: Optional[float]) -> float:
     """Float lp-norm of one module's deviations (pf None for p = inf)."""
+    # kept apart from vec_pnorm, whose exact-type loops slow this hot path
     if pf is None:
         return max(devs, default=0.0)
     if pf == 1.0:
         return sum(devs)
-    return sum(d ** pf for d in devs) ** (1.0 / pf)
+    return lp_root(sum(d ** pf for d in devs), pf)
 
 
 def _box_bounds(M: _ModuleData, N: _ModuleData, boxes: list,
@@ -272,7 +273,8 @@ def _box_bounds(M: _ModuleData, N: _ModuleData, boxes: list,
 def _line_value(M: _ModuleData, N: _ModuleData, pushes: list, p: PExp) -> float:
     """Float per-line distance from the pushes of M.labels + N.labels."""
     k = len(M.labels)
-    return bar_distance(*M.bars(pushes[:k]), *N.bars(pushes[k:]), p, 0.0)[0]
+    agg, _ = bar_distance(*M.bars(pushes[:k]), *N.bars(pushes[k:]), p, 0.0)
+    return lp_root(agg, p)
 
 
 # ---------------------------------------------------------------------------
@@ -380,33 +382,32 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         return report
 
     def split_candidates(box):
-        """Candidate splits: midpoints and, when straddled, the sign seams.
+        """Candidate splits: the midpoint of each axis the box spans.
 
-        Pushes are flat or affine within each sign quadrant of the
-        chart, so cutting at 0 isolates flat regions (bound 0) at once.
-        The children of all candidates are bounded in one batch.
-        Returns (children, [(center pushes, bound)]) or None for a point
-        box.
+        Every box is a dyadic cell of the root, whose midpoints are the
+        seams s = 0 and mu = 0; so a box straddles a seam only while it
+        spans that axis in full, and then its midpoint is the seam.  The
+        children of all candidates are bounded in one batch.  Returns
+        (children, [(center pushes, bound)]) or None for a point box.
         """
         sl, sh, ml, mh = box
         cands = []
-        # a midpoint equal to the seam is one cut, bounded once
-        for cut in dict.fromkeys(((sl + sh) / 2, 0.0)):
-            if sl < cut < sh:
-                cands.append((0, cut, [(sl, cut, ml, mh), (cut, sh, ml, mh)]))
-        for cut in dict.fromkeys(((ml + mh) / 2, 0.0)):
-            if ml < cut < mh:
-                cands.append((1, cut, [(sl, sh, ml, cut), (sl, sh, cut, mh)]))
+        cut = (sl + sh) / 2
+        if sl < cut < sh:
+            cands.append((0, [(sl, cut, ml, mh), (cut, sh, ml, mh)]))
+        cut = (ml + mh) / 2
+        if ml < cut < mh:
+            cands.append((1, [(sl, sh, ml, cut), (sl, sh, cut, mh)]))
         if not cands:
             return None
-        bounded = box_bounds([ch for _, _, children in cands for ch in children])
+        bounded = box_bounds([ch for _, children in cands for ch in children])
         best = None
-        for i, (axis, cut, children) in enumerate(cands):
+        for i, (axis, children) in enumerate(cands):
             pair = bounded[2 * i:2 * i + 2]
             bnds = [b for _, b in pair]
             # sum-of-children ranks a split that flattens one child above
             # one that merely halves both; max alone cannot see that
-            key = (sum(bnds), max(bnds), axis, cut)
+            key = (sum(bnds), max(bnds), axis)
             if best is None or key < best[0]:
                 best = (key, children, pair)
         return best[1], best[2]

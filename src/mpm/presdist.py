@@ -201,14 +201,12 @@ def hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
     return [tuple(pt) for pt in product(*axes)]
 
 
-def modules_agree(P: Presentation, Q: Presentation,
-                  grid: Optional[Sequence[Grade]] = None) -> bool:
-    """Hilbert-function spot check for equality of the presented modules."""
+def modules_agree(P: Presentation, Q: Presentation) -> bool:
+    """Hilbert-function spot check for equality of the presented modules,
+    on hilbert_spot_grid(P, Q)."""
     if P.n_params != Q.n_params:
         return False
-    if grid is None:
-        grid = hilbert_spot_grid(P, Q)
-    return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in grid)
+    return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in hilbert_spot_grid(P, Q))
 
 
 def chain_upper_bound(chain: Sequence[PairedPresentations], p: PExp) -> Extended:

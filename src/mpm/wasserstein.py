@@ -6,7 +6,7 @@ inf - inf = 0 makes a matched pair of essential bars cost only the birth
 difference, while an unmatched essential bar (or an essential bar
 matched to a finite one) costs inf.  matching_cost prices a given
 matching from these terms' coordinate differences (_cost_terms) with
-grades.vec_pnorm and vec_pnorm_power.
+grades.vec_pnorm and vec_pnorm_power, and roots the sum with lp_root.
 
 Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
@@ -18,13 +18,15 @@ instead; each probed threshold is feasible when a graph with one ghost
 per bar, each bar reaching only its own ghost, has a perfect matching,
 found by rounds of augmenting-path searches.
 
-bar_distance holds these steps once for any number type.  The exact
-values come from integers: for integral p and for p = inf,
+bar_distance holds these steps once for any number type and returns
+the aggregate: the sum of p-th powers, or the max at p = inf.  The
+exact values come from integers: for integral p and for p = inf,
 wasserstein_full scales every endpoint by 2L, with L the least common
 denominator of the two barcodes, runs bar_distance on the resulting
-ints and divides the result back once (its docstring proves that the
+ints and divides the aggregate back once (its docstring proves that the
 answer is unchanged).  A non-integral p has float costs; the
-matching-distance search runs bar_distance on floats.
+matching-distance search runs bar_distance on floats.  Every caller
+turns the aggregate into the distance with grades.lp_root.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 from .barcode import Barcode
 from .errors import ComputationError, DataError
 from .grades import (INF, Extended, PExp, as_pexp, ext_abs_diff, is_inf,
-                     pexp_integral, pth_root, vec_pnorm, vec_pnorm_power)
+                     lp_root, pexp_integral, vec_pnorm, vec_pnorm_power)
 
 
 @dataclass(frozen=True)
@@ -107,12 +109,7 @@ def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
     if is_inf(p):
         return max((vec_pnorm(term, p) for term in _cost_terms(B, C, sigma)),
                    default=Fraction(0))
-    power = matching_cost_power(B, C, sigma, p)
-    if is_inf(power):
-        return INF
-    if p == 1:
-        return power
-    return pth_root(power, p)
+    return lp_root(matching_cost_power(B, C, sigma, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +318,21 @@ def _split(B: Barcode):
 
 
 def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
-    """p-Wasserstein distance between two barcodes given as plain lists.
+    """The p-Wasserstein aggregate of two barcodes given as plain lists.
 
     fin_b and fin_c hold finite bars (birth, death); ess_b and ess_c
     hold the births of the essential bars in ascending order, and the
     sorted pairing matches them.  Every number has the type of ``zero``:
     ints, with every bar length even, keep every cost exact at integral
-    p and at p = inf; floats, or Fractions at a non-integral p, give the
-    float distance.  Returns (value, power, pairs): power is the sum of
-    p-th powers (None for p = inf), value is None when power is exact
-    and p > 1 (the caller takes the root), and pairs lists the matched
-    (i, j) indices into fin_b and fin_c.
+    p and at p = inf; floats, or Fractions at a non-integral p, give a
+    float aggregate.  Returns (aggregate, pairs): the aggregate is the
+    minimal sum of p-th powers, or at p = inf the minimal max cost (INF
+    when the essential bars cannot be paired), and grades.lp_root turns
+    it into the distance; pairs lists the matched (i, j) indices into
+    fin_b and fin_c.
     """
     if len(ess_b) != len(ess_c):
-        return INF, None if is_inf(p) else INF, []
+        return INF, []
     # a bar's distance to the diagonal is half its length; / would turn
     # ints into floats, and even lengths halve exactly by //
     halve = floordiv if type(zero) is int else truediv
@@ -347,7 +345,7 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
         diag_l = [halve(b[1] - b[0], 2) for b in fin_b]
         diag_r = [halve(c[1] - c[0], 2) for c in fin_c]
         fin, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
-        return max(ess, fin), None, pairs
+        return max(ess, fin), pairs
 
     e = int(p) if pexp_integral(p) else float(p)
     pzero = zero ** e  # a Fraction to a float power is a float
@@ -368,14 +366,7 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     fin = pzero
     for i, j in enumerate(assign):
         fin = fin + cost[i][j]
-    power = ess + fin
-    if p == 1:
-        value = power
-    elif isinstance(power, float):
-        value = power ** (1.0 / float(p))
-    else:
-        value = None  # an exact power, to be rooted once unscaled
-    return value, power, [(i, j) for i, j in enumerate(assign) if i < m and j < n]
+    return ess + fin, [(i, j) for i, j in enumerate(assign) if i < m and j < n]
 
 
 def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
@@ -384,8 +375,9 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     For integral p and for p = inf the solvers run on ints: with L the
     least common denominator of every finite endpoint and essential
     birth of B and C, each number x becomes the int 2Lx, so every bar
-    length is even and every half-length an int.  The result is unscaled
-    once: the value by 2L at p = inf, the power by (2L)^p at finite p.
+    length is even and every half-length an int.  The aggregate is
+    unscaled once, by 2L at p = inf and by (2L)^p at finite p, and
+    rooted once by lp_root.
 
     The matching is the one the Fraction arithmetic finds, and the
     unscaled numbers are equal to its.  Scaling every number by s = 2L
@@ -400,10 +392,10 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     bottleneck_assignment only compares costs and picks one of them, and
     its candidate list, being sorted and deduplicated, keeps its order
     and length, so its bisection probes the same positions and its
-    searches see the same graphs.  Its value, the power and the sum of
-    the essential terms are therefore c times the unscaled ones, and
-    dividing by c recovers them exactly.  A non-integral p has float
-    costs either way and keeps the Fraction inputs.
+    searches see the same graphs.  The aggregate is therefore c times
+    the unscaled one, and dividing by c recovers it exactly.  A
+    non-integral p has float costs either way and keeps the Fraction
+    inputs.
     """
     p = as_pexp(p)
     fin_b, ess_b = _split(B)
@@ -417,21 +409,19 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
         def up(x):
             return x.numerator * (scale // x.denominator)
 
-        value, power, pairs = bar_distance(
+        agg, pairs = bar_distance(
             [(up(b), up(d)) for b, d in bars_b], [up(x) for x in births_b],
             [(up(b), up(d)) for b, d in bars_c], [up(x) for x in births_c], p, 0)
-        if is_inf(p) and not is_inf(value):
-            value = Fraction(value, scale)
-        elif not is_inf(p) and not is_inf(power):
-            power = Fraction(power, scale ** int(p))
-            value = power if p == 1 else pth_root(power, p)
+        if not is_inf(agg):
+            agg = Fraction(agg, scale if is_inf(p) else scale ** int(p))
     else:
-        value, power, pairs = bar_distance(bars_b, births_b, bars_c, births_c, p,
-                                           Fraction(0))
+        agg, pairs = bar_distance(bars_b, births_b, bars_c, births_c, p, Fraction(0))
+    value = lp_root(agg, p)
     if is_inf(value):
-        return WassersteinResult(p, INF, power, Matching(frozenset()))
+        return WassersteinResult(p, INF, None if is_inf(p) else INF,
+                                 Matching(frozenset()))
     pairs = [(fin_b[i], fin_c[j]) for i, j in pairs] + list(zip(ess_b, ess_c))
-    return WassersteinResult(p, value, power if pexp_integral(p) else None,
+    return WassersteinResult(p, value, agg if pexp_integral(p) else None,
                              Matching(frozenset(pairs)))
 
 

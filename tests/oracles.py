@@ -7,7 +7,7 @@ of two barcodes.  None of it shares code with the package's
 sparse/echelon machinery or its assignment solvers, and it imports no
 private name of the package; the matching search prices each matched
 or diagonal term with the public matching_cost / matching_cost_power
-on one-bar barcodes.
+on one-bar barcodes, and roots the best total with grades.lp_root.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from math import gcd
 from mpm import (INF, Barcode, DataError, Extended, Matching, PExp, Presentation,
                  WassersteinResult, as_pexp, grade_leq, labels, matching_cost,
                  matching_cost_power)
-from mpm.grades import is_inf, pexp_integral, pth_root
+from mpm.grades import is_inf, lp_root, pexp_integral
 from mpm.matchdist import ParamBox
 
 
@@ -233,10 +233,7 @@ def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     if is_inf(val):
         return WassersteinResult(p, INF, INF if not use_max else None,
                                  Matching(frozenset()))
-    if use_max:
-        return WassersteinResult(p, val, None, Matching(best["pairs"]))
-    value = val if p == 1 else pth_root(val, p)
-    return WassersteinResult(p, value, val if pexp_integral(p) else None,
+    return WassersteinResult(p, lp_root(val, p), val if pexp_integral(p) else None,
                              Matching(best["pairs"]))
 
 

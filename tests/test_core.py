@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,8 +22,9 @@ from mpm import (Barcode, DataError, ParseError, PrimeField, Presentation,
                  serialize_presentation, vec_pnorm, vec_pnorm_power,
                  wasserstein)
 from mpm.field import ColumnEchelon, column_rank, is_prime
-from mpm.fixtures import random_presentation
-from mpm.grades import format_rat, pth_root
+from mpm.fixtures import random_barcode, random_presentation
+from mpm.grades import format_rat, is_inf, lp_root, pth_root
+from mpm.wasserstein import bar_distance
 
 from oracles import dense_hilbert, dense_rank
 
@@ -108,6 +110,38 @@ def test_pnorms():
     assert vec_pnorm(vals, math.inf) == 1
     assert vec_pnorm_power(vals, F(2)) == 2
     assert abs(vec_pnorm(vals, F(2)) - math.sqrt(2)) < 1e-14
+
+
+def test_lp_root():
+    # the aggregate is the distance at p = 1, at p = inf and when infinite
+    for agg in (F(7, 3), 5, 2.5):
+        for p in (F(1), 1, math.inf):
+            got = lp_root(agg, p)
+            assert (type(got), got) == (type(agg), agg)
+    for p in (F(1), F(2), F(3, 2), math.inf):
+        assert lp_root(math.inf, p) == math.inf
+    # a float power is rooted by **, an exact one by pth_root
+    for power in (2.0, 1e-300, 3.7e250):
+        for p in (F(2), F(3), F(3, 2), F(7, 3)):
+            assert lp_root(power, p).hex() == (power ** (1 / float(p))).hex()
+    for power in (F(2), F(1, 10**40), 10**400):
+        for p in (F(2), F(3), 7):
+            assert lp_root(power, p) == pth_root(power, p)
+    zero = lp_root(F(0), F(3, 2))
+    assert (type(zero), zero) == (float, 0.0)
+    with pytest.raises(ValueError):
+        pth_root(F(2), F(3, 2))
+    # bar_distance's aggregate, rooted once, is the Wasserstein distance
+    rng = random.Random(13)
+    for _ in range(40):
+        B, C = random_barcode(rng), random_barcode(rng)
+        lists = []
+        for X in (B, C):
+            lists.append([bar for bar in X.bars if not is_inf(bar[1])])
+            lists.append(sorted(b for b, d in X.bars if is_inf(d)))
+        for p in (F(1), F(2), F(3, 2), math.inf):
+            agg, _ = bar_distance(*lists, p, F(0))
+            assert lp_root(agg, p) == wasserstein(B, C, p), (B, C, p)
 
 
 def test_grade_order_is_product_order():
@@ -257,6 +291,22 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)
              or (isinstance(node, ast.Raise) and _raises_assertion_error(node))]
     assert found == []
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    src = Path(mpm.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_readme_example_runs():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", text, re.S)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report = scope["report"]
+    assert report.converged and report.upper - report.lower <= 0.1
 
 
 def test_oracles_import_no_private_package_names():

@@ -254,8 +254,8 @@ GOLDEN_APPROX = [
 ]
 
 
-@pytest.mark.parametrize("seed", dict.fromkeys(row[0] for row in GOLDEN_APPROX))
-def test_approx_decisions_are_pinned(seed):
+def golden_inputs(seed):
+    """The presentation pair and epsilon of a GOLDEN_APPROX seed."""
     from mpm.fixtures import random_paired_presentations
     if isinstance(seed, str):
         size, eps = 3, F(1, 10)
@@ -264,6 +264,12 @@ def test_approx_decisions_are_pinned(seed):
         size, eps = 4, F(1, 4)
         rng = random.Random(seed)
     P, Q = random_paired_presentations(rng, 2, size, size)
+    return P, Q, eps
+
+
+@pytest.mark.parametrize("seed", dict.fromkeys(row[0] for row in GOLDEN_APPROX))
+def test_approx_decisions_are_pinned(seed):
+    P, Q, eps = golden_inputs(seed)
     for s, p, lower, upper, lines, depth, argmax in GOLDEN_APPROX:
         if s != seed:
             continue
@@ -271,6 +277,28 @@ def test_approx_decisions_are_pinned(seed):
         assert (type(rep.lower), rep.lower) == (type(lower), lower)
         assert (rep.upper, rep.lines_evaluated, rep.max_depth_seen) == (upper, lines, depth)
         assert rep.argmax_line == LineParam(*argmax)
+
+
+def test_only_full_range_boxes_straddle_a_seam(monkeypatch):
+    # every box is a dyadic cell of the root, so a box straddles s = 0
+    # (mu = 0) only while it spans the root's s-range (mu-range), and
+    # then its midpoint is the seam: no separate seam cut is needed
+    seen = []
+
+    def spy(label_vec, boxes):
+        seen.extend(boxes)
+        return _deviations(label_vec, boxes)
+
+    monkeypatch.setattr(matchdist, "_deviations", spy)
+    for seed, p, *_ in GOLDEN_APPROX:
+        P, Q, eps = golden_inputs(seed)
+        seen.clear()
+        approx_matching_distance(P, Q, p, eps)
+        s_lo, s_hi, mu_lo, mu_hi = seen[0]
+        assert len(seen) > 1 and (mu_lo, mu_hi) == (-1.0, 1.0) and s_lo == -s_hi
+        for sl, sh, ml, mh in seen:
+            assert not sl < 0 < sh or (sl, sh) == (s_lo, s_hi), (seed, p)
+            assert not ml < 0 < mh or (ml, mh) == (mu_lo, mu_hi), (seed, p)
 
 
 def test_sampled_lower_bound_basics(h1_f, h1_g):
