@@ -26,7 +26,7 @@ from .onepar import NormalForm, barcode_of, reduce_to_normal_form
 from .presentation import (Presentation, free_presentation, hilbert_dim,
                            labels, rank_invariant)
 from .presdist import (BoundsReport, PairedPresentations, bounds,
-                       chain_upper_bound, hilbert_spot_grid, label_distance,
+                       chain_upper_bound, label_distance,
                        label_distance_power, modules_agree, pad_and_pair)
 from .wasserstein import (Matching, WassersteinResult, matching_cost,
                           matching_cost_power, wasserstein, wasserstein_full,

@@ -14,6 +14,11 @@ wrong grades: three columns hitting one generator at grades (0,2),
 (2,2)).  Each sweep resumes from the previous one: the columns before
 its first new column are reduced exactly as before, so their echelon
 entries are kept and only the rest of the sweep is reduced.
+
+homology_presentation reads the coordinates of each (j+1)-boundary in
+the kernel basis of the j-th boundary map off the basis's distinct
+colex leads, by division on the sweep's colex order: no second echelon
+re-reduces the basis.
 """
 from __future__ import annotations
 
@@ -284,12 +289,13 @@ def kernel_basis(gamma: Presentation) -> KernelBasis:
         first new column on.
     """
     return _kernel_sweep(gamma.field, gamma.n_params, gamma.col_labels,
-                         gamma.column_dicts())
+                         gamma.columns)[0]
 
 
 def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
-                  cols: Sequence[SparseCol]) -> KernelBasis:
-    """kernel_basis on column grades dg and columns cols, unchecked."""
+                  cols: Sequence[SparseCol]) -> tuple[KernelBasis, dict[int, int]]:
+    """kernel_basis on column grades dg and columns cols, unchecked,
+    and the colex rank of every column index (the order of its leads)."""
     k = len(dg)
     values = [sorted({g[c] for g in dg}) for c in range(n_params)]
     ranks = [{v: r for r, v in enumerate(vs)} for vs in values]
@@ -305,7 +311,7 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
     emitted: list[_Elem] = []
     by_lead: dict[int, _Elem] = {}
     dead: set[int] = set()
-    ech = ColumnEchelon(field, track=True)
+    ech = ColumnEchelon(field)
     entry_pos: list[int] = []  # x-order position behind each echelon entry
     for y, start in sorted(first_new.items()):
         ech.truncate(bisect_left(entry_pos, start))
@@ -328,7 +334,7 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
     return KernelBasis(
         tuple(tuple(vs[r] for vs, r in zip(values, e.grade)) for e in emitted),
         tuple(tuple(sorted(e.vec.items())) for e in emitted),
-        tuple(lead_of[id(e)] for e in emitted))
+        tuple(lead_of[id(e)] for e in emitted)), rank
 
 
 def grade_injections(gamma: Presentation, C: KernelBasis):
@@ -364,9 +370,26 @@ def grade_injections(gamma: Presentation, C: KernelBasis):
 def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
     """A presentation of the degree-j homology of the sublevel filtration.
 
-    Rows are a kernel basis of the j-th boundary map (for one parameter
-    this is the tracked graded-SNF reduction), columns the (j+1)-cells,
-    entries the coordinates of their boundaries in the kernel basis.
+    Rows are a kernel basis K of the j-th boundary map, columns the
+    (j+1)-cells, entries the coordinates of their boundaries in K.  A
+    boundary b is divided by K lead by lead, on the colex order of the
+    sweep that built K: take b's colex-largest entry t, which must be
+    the lead of exactly one K_i, record b[t] / K_i[t] as b's coordinate
+    on K_i, subtract that multiple of K_i, and repeat until b is empty.
+    These are the coordinates of b in K, and the only ones:
+
+    (a) They exist and are unique.  b is a cycle, as FilteredComplex
+        has checked that the composite boundary vanishes.  At a grade
+        above every cell, the free kernel's basis K spans all cycles
+        and is independent there.
+    (b) Division recovers them.  The leads are pairwise distinct, so
+        the colex-largest entry of sum c_i K_i is the lead of the i
+        with c_i != 0 whose lead is largest, and its value is
+        c_i K_i[lead].  Each step so reads off one c_i and leaves a
+        combination of the K_i with smaller leads; a boundary whose
+        largest entry is no lead would lie outside the span, and
+        raises ComputationError.
+
     The two boundary matrices are not built as checked Presentations:
     FilteredComplex has already checked face <= cell for every entry,
     which is their label order.  The result gets the full check.
@@ -374,13 +397,20 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
     if j < 0:
         raise DataError("homology degree must be nonnegative")
     _, dg, cols = _boundary_columns(X, j)
-    K = _kernel_sweep(X.field, X.n_params, dg, cols)
+    K, rank = _kernel_sweep(X.field, X.n_params, dg, cols)
+    by_lead = {t: (i, dict(col)) for i, (t, col) in enumerate(zip(K.leads, K.columns))}
     _, up_grades, up_cols = _boundary_columns(X, j + 1)
-    ech = ColumnEchelon(X.field, track=True)
-    for idx, col in enumerate(K.columns):
-        ech.insert(dict(col), tag=idx)
-    # unique coordinates: kernel columns are independent
-    columns = [ech.solve(col) for col in up_cols]
+    columns = []
+    for b in up_cols:  # fresh dicts, consumed by the division
+        coords: SparseCol = {}
+        while b:
+            t = max(b, key=rank.__getitem__)
+            if t not in by_lead:
+                raise ComputationError("a boundary is outside the span of the kernel basis")
+            i, k_i = by_lead[t]
+            coords[i] = c = b[t] * X.field.inv(k_i[t]) % X.field.q
+            col_axpy(b, c, k_i, X.field.q)
+        columns.append(coords)
     return Presentation(X.field, X.n_params, K.grades, up_grades, columns)
 
 

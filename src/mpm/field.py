@@ -2,9 +2,9 @@
 
 Field elements are plain ints in [0, q); columns are dicts mapping row
 index to a nonzero residue.  :class:`ColumnEchelon` is the one
-elimination engine used for ranks, kernel bases (cellular), expressing
-vectors in a recorded basis and the 1-parameter pivot pairing behind
-barcodes and the graded normal form (onepar).
+elimination engine used for ranks, kernel bases (cellular) and the
+1-parameter pivot pairing behind barcodes and the graded normal form
+(onepar).
 """
 from __future__ import annotations
 
@@ -79,17 +79,18 @@ def col_axpy(dst: SparseCol, factor: int, src: SparseCol, q: int) -> SparseCol:
 
 
 class ColumnEchelon:
-    """Incremental column echelon form with optional combination tracking.
+    """Incremental column echelon form; a tag on an insert tracks it.
 
-    Pivot of a column is its largest row index.  When ``track`` is set,
-    every inserted column remembers an expression of its reduced form as
-    a combination of the original inserted columns, so that
-    :meth:`reduce` can return exact coordinates.
+    Pivot of a column is its largest row index.  An echelon has a tag on
+    every insert or on none.  A tagged entry remembers an expression of
+    its reduced form as a combination of the original tagged columns,
+    and :meth:`reduce` sums expressions only from entries that have one,
+    so with tags on every insert its combo gives exact coordinates.
+    Columns go in as dicts or as (row, value) pairs: reduce copies them.
     """
 
-    def __init__(self, field: PrimeField, track: bool = False):
+    def __init__(self, field: PrimeField):
         self.field = field
-        self.track = track
         self._table: dict[int, tuple[SparseCol, Optional[SparseCol]]] = {}
         self.rank = 0
 
@@ -98,7 +99,7 @@ class ColumnEchelon:
 
         Returns (residual, combo) with
         ``residual = col - sum(combo[tag] * original_tag)`` over F_q.
-        combo is empty when tracking is off.
+        combo is empty when no insert had a tag.
         """
         q = self.field.q
         res = dict(col)
@@ -111,7 +112,7 @@ class ColumnEchelon:
             ecol, eexpr = entry
             factor = res[piv] * self.field.inv(ecol[piv]) % q
             col_axpy(res, factor, ecol, q)
-            if self.track and eexpr:
+            if eexpr:
                 for tag, v in eexpr.items():
                     w = (combo.get(tag, 0) + factor * v) % q
                     if w:
@@ -129,8 +130,8 @@ class ColumnEchelon:
         res, combo = self.reduce(col)
         if res:
             expr = None
-            if self.track:
-                expr = {tag: 1} if tag is not None else {}
+            if tag is not None:
+                expr = {tag: 1}
                 for t, v in combo.items():
                     w = (expr.get(t, 0) - v) % self.field.q
                     if w:
@@ -150,13 +151,6 @@ class ColumnEchelon:
         if n < self.rank:
             self._table = dict(islice(self._table.items(), n))
             self.rank = n
-
-    def solve(self, col: SparseCol) -> SparseCol:
-        """Coordinates of col in the inserted columns; DataError if outside."""
-        res, combo = self.reduce(col)
-        if res:
-            raise DataError("vector is not in the span of the recorded columns")
-        return combo
 
 
 def column_rank(columns: Iterable[SparseCol], field: PrimeField) -> int:

@@ -171,7 +171,7 @@ def _uniform_borrow(Pp: Presentation, Qp: Presentation):
         g = _uniform_label(A)
         if g is None or A.n_rows != B.n_rows or A.n_cols != B.n_cols:
             continue
-        if column_rank(A.column_dicts(), A.field) != column_rank(B.column_dicts(), B.field):
+        if column_rank(A.columns, A.field) != column_rank(B.columns, B.field):
             continue
         swapped = Presentation(A.field, A.n_params, A.row_labels, A.col_labels,
                                B.columns)
@@ -193,7 +193,7 @@ def _axis_values(values: Sequence[Fraction], cap: int = 6) -> list[Fraction]:
     return [uniq[0] - 1] + uniq + [uniq[-1] + 1]
 
 
-def hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
+def _hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
     """A small grade grid spanning both label sets (plus outside margins)."""
     pool = labels(P) + labels(Q)
     n = P.n_params
@@ -203,10 +203,10 @@ def hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
 
 def modules_agree(P: Presentation, Q: Presentation) -> bool:
     """Hilbert-function spot check for equality of the presented modules,
-    on hilbert_spot_grid(P, Q)."""
+    on _hilbert_spot_grid(P, Q)."""
     if P.n_params != Q.n_params:
         return False
-    return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in hilbert_spot_grid(P, Q))
+    return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in _hilbert_spot_grid(P, Q))
 
 
 def chain_upper_bound(chain: Sequence[PairedPresentations], p: PExp) -> Extended:

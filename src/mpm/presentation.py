@@ -85,9 +85,6 @@ class Presentation:
     def n_cols(self) -> int:
         return len(self.col_labels)
 
-    def column_dict(self, j: int) -> SparseCol:
-        return dict(self.columns[j])
-
     def column_dicts(self) -> list[SparseCol]:
         return [dict(col) for col in self.columns]
 
@@ -138,8 +135,8 @@ def hilbert_dim(P: Presentation, g: Grade) -> int:
     """dim of coker(P) at grade g: #{rows <= g} - rank(columns with label <= g)."""
     g = _freeze_grade(g, P.n_params)
     n_gens = sum(1 for lbl in P.row_labels if grade_leq(lbl, g))
-    active = (P.column_dict(j) for j in range(P.n_cols)
-              if grade_leq(P.col_labels[j], g))
+    active = (col for col, lbl in zip(P.columns, P.col_labels)
+              if grade_leq(lbl, g))
     return n_gens - column_rank(active, P.field)
 
 
@@ -155,9 +152,9 @@ def rank_invariant(P: Presentation, s: Grade, t: Grade) -> int:
     if not grade_leq(s, t):
         raise DataError(f"rank_invariant requires s <= t, got {show_grade(s)} and {show_grade(t)}")
     ech = ColumnEchelon(P.field)
-    for j in range(P.n_cols):
-        if grade_leq(P.col_labels[j], t):
-            ech.insert(P.column_dict(j))
+    for col, lbl in zip(P.columns, P.col_labels):
+        if grade_leq(lbl, t):
+            ech.insert(col)
     rank_rt = ech.rank
     for i in range(P.n_rows):
         if grade_leq(P.row_labels[i], s):

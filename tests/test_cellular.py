@@ -112,6 +112,23 @@ def test_kernel_randomized_against_dense_nullspace():
         assert len(set(K.leads)) == len(K.leads)
 
 
+def test_homology_presentation_builds_one_echelon(monkeypatch, fig_complex_f):
+    # the kernel sweep's echelon is the only one: each boundary's
+    # coordinates are divided off the kernel basis's distinct leads
+    built = []
+    init = ColumnEchelon.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnEchelon, "__init__", spy_init)
+    for j in (0, 1, 2):
+        built.clear()
+        homology_presentation(fig_complex_f, j)
+        assert len(built) == 1, j
+
+
 def test_kernel_sweeps_resume_from_their_unchanged_prefix(monkeypatch):
     # each sweep after the first reduces only from its first new column
     # (the first of its y-grade in the (x, index) order) on, and the

@@ -246,21 +246,34 @@ def test_column_echelon_rank_matches_dense():
             assert column_rank(cols, PrimeField(q)) == dense_rank(dense, q)
 
 
-def test_column_echelon_solve_roundtrip():
+def test_column_echelon_reduce_roundtrip():
+    # with a tag on every insert, reduce's combo rebuilds col - residual
+    # from the original columns: the whole target inside their span, a
+    # nonzero residual left outside it; an untagged echelon tracks nothing
     fld = PrimeField(5)
-    ech = ColumnEchelon(fld, track=True)
     cols = [{0: 1, 1: 2}, {1: 3}, {0: 4, 2: 1}]
+    tagged, plain = ColumnEchelon(fld), ColumnEchelon(fld)
     for i, c in enumerate(cols):
-        ech.insert(dict(c), tag=i)
+        tagged.insert(c, tag=i)
+        plain.insert(c)
+    assert cols == [{0: 1, 1: 2}, {1: 3}, {0: 4, 2: 1}]
+
+    def rebuilt(combo, res):
+        out = dict(res)
+        for tag, coeff in combo.items():
+            for r, v in cols[tag].items():
+                out[r] = (out.get(r, 0) + coeff * v) % 5
+        return {r: v for r, v in out.items() if v}
+
     target = {0: (1 + 4 * 2) % 5, 1: 2, 2: 2}  # cols[0] + 2*cols[2]
-    combo = ech.solve(dict(target))
-    rebuilt = {}
-    for tag, coeff in combo.items():
-        for r, v in cols[tag].items():
-            rebuilt[r] = (rebuilt.get(r, 0) + coeff * v) % 5
-    assert {r: v for r, v in rebuilt.items() if v} == target
-    with pytest.raises(DataError):
-        ech.solve({3: 1})
+    res, combo = tagged.reduce(target)
+    assert res == {} and combo == {0: 1, 2: 2}
+    assert rebuilt(combo, res) == target
+    outside = {0: 2, 3: 1}
+    res, combo = tagged.reduce(outside)
+    assert res and rebuilt(combo, res) == outside
+    assert plain.reduce(target) == ({}, {})
+    assert plain.reduce(outside)[1] == {}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
