@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
-from .fpm import _keyword_int, _Lines, _params_line
+from .fpm import _preamble
 from .grades import (Grade, format_grade, grade_leq, join_all, parse_grade,
                      rat, show_grade)
 from .presentation import Column, Presentation, labels
@@ -461,16 +461,7 @@ def lift_presentations(P_M: Presentation, P_N: Presentation):
 def parse_complex(text: str) -> FilteredComplex:
     """Parse the ``.cwf`` format: header lines then one line per cell,
     ``<id> <dim> <grade...> : <face-id> <coeff> ...``."""
-    lines = _Lines(text)
-    lineno, header = lines.next("'cwf 1' header")
-    if header.split() != ["cwf", "1"]:
-        raise ParseError(f"expected 'cwf 1' header, got {header!r}", lineno)
-    lineno, q = _keyword_int(lines, "field")
-    try:
-        field = PrimeField(q)
-    except DataError as exc:
-        raise ParseError(str(exc), lineno) from exc
-    n_params = _params_line(lines)
+    lines, field, n_params = _preamble(text, "cwf")
     cells = []
     boundary = {}
     while not lines.done():
@@ -494,8 +485,8 @@ def parse_complex(text: str) -> FilteredComplex:
                 coeff = int(ctok)
             except ValueError as exc:
                 raise ParseError(f"bad coefficient {ctok!r}", lineno) from exc
-            if not 0 < coeff < q:
-                raise ParseError(f"coefficient {coeff} outside the field F_{q}", lineno)
+            if not 0 < coeff < field.q:
+                raise ParseError(f"coefficient {coeff} outside the field {field}", lineno)
             faces.append((fid, coeff))
         cells.append((cid, dim, grade))
         boundary[cid] = tuple(faces)

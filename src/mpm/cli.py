@@ -1,9 +1,12 @@
 """Command-line interface: ``mpm <subcommand> ...``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 computation
-failure (e.g. the subdivision depth guard).  Numeric output is decimal
-with a configurable number of significant digits; ``--exact`` prints
-rationals exactly.
+failure (e.g. the subdivision depth guard).  The four commands that
+print distances (``wasserstein``, ``labeldist``, ``matchdist`` and
+``bounds``) print decimals with ``--digits`` significant digits (default
+12), rationals exactly under ``--exact``, and JSON under ``--json``;
+``hilbert`` takes ``--json`` only.  The other commands print no number
+and take none of these flags.
 """
 from __future__ import annotations
 
@@ -40,21 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value, args) -> str:
+def _number(value, args):
+    """How a distance prints: "inf", an exact rational under --exact,
+    else a float for JSON or a --digits decimal for text."""
     if is_inf(value):
         return "inf"
-    if getattr(args, "exact", False) and isinstance(value, Fraction):
+    if args.exact and isinstance(value, Fraction):
         return format_rat(value)
-    digits = min(50, max(1, args.digits))
-    return format(float(value), f".{digits}g")
+    if args.json:
+        return float(value)
+    return format(float(value), f".{min(50, max(1, args.digits))}g")
 
 
-def _jsonable(value, args):
-    if is_inf(value):
-        return "inf"
-    if getattr(args, "exact", False) and isinstance(value, Fraction):
-        return format_rat(value)
-    return float(value)
+def _print_distance(value, args):
+    print(json.dumps({"p": args.p, "distance": _number(value, args)}) if args.json
+          else _number(value, args))
 
 
 def _read(path: str) -> str:
@@ -81,13 +84,12 @@ def _line_json(line):
     return {"v": v, "w": [float(c) for c in line.w]}
 
 
-def _add_common(sub, json_flag=True):
+def _add_number_output(sub):
     sub.add_argument("--digits", type=int, default=12,
                      help="significant digits for decimal output (default 12)")
     sub.add_argument("--exact", action="store_true",
                      help="print rational results exactly")
-    if json_flag:
-        sub.add_argument("--json", action="store_true", help="machine-readable output")
+    sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser() -> _Parser:
@@ -98,19 +100,17 @@ def build_parser() -> _Parser:
     w.add_argument("--p", required=True)
     w.add_argument("barcode_a")
     w.add_argument("barcode_b")
-    _add_common(w)
+    _add_number_output(w)
 
     b = subs.add_parser("barcode", help="barcode of a module (along a line if 2-parameter)")
     b.add_argument("--line", help='admissible line "v1,v2;w1,w2"')
     b.add_argument("module")
     b.add_argument("-o", "--output")
-    _add_common(b, json_flag=False)
 
     r = subs.add_parser("restrict", help="restrict a 2-parameter module to a line")
     r.add_argument("--line", required=True)
     r.add_argument("module")
     r.add_argument("-o", "--output")
-    _add_common(r, json_flag=False)
 
     m = subs.add_parser("matchdist", help="certified p-matching distance approximation")
     m.add_argument("--p", required=True)
@@ -118,38 +118,36 @@ def build_parser() -> _Parser:
     m.add_argument("--max-depth", type=int, default=60)
     m.add_argument("module_a")
     m.add_argument("module_b")
-    _add_common(m)
+    _add_number_output(m)
 
     l = subs.add_parser("labeldist", help="label lp-distance of same-matrix presentations")
     l.add_argument("--p", required=True)
     l.add_argument("module_a")
     l.add_argument("module_b")
-    _add_common(l)
+    _add_number_output(l)
 
     bo = subs.add_parser("bounds", help="lower/upper bounds for the presentation distance")
     bo.add_argument("--p", required=True)
     bo.add_argument("--eps", required=True)
     bo.add_argument("module_a")
     bo.add_argument("module_b")
-    _add_common(bo)
+    _add_number_output(bo)
 
     h = subs.add_parser("homology", help="presentation of the degree-j homology of a .cwf")
     h.add_argument("--deg", type=int, required=True)
     h.add_argument("complex")
     h.add_argument("-o", "--output")
-    _add_common(h, json_flag=False)
 
     lf = subs.add_parser("lift", help="realize a presentation pair as homology of one complex")
     lf.add_argument("module_a")
     lf.add_argument("module_b")
     lf.add_argument("-o", "--output-prefix", required=True)
-    _add_common(lf, json_flag=False)
 
     hi = subs.add_parser("hilbert", help="Hilbert function values of a module")
     hi.add_argument("--at", action="append", required=True,
                     help='grade "x,y" (repeatable)')
     hi.add_argument("module")
-    _add_common(hi)
+    hi.add_argument("--json", action="store_true", help="machine-readable output")
 
     g = subs.add_parser("gen", help="generate random test fixtures")
     g.add_argument("kind", choices=["presentation", "pair", "complex", "barcode"])
@@ -161,7 +159,6 @@ def build_parser() -> _Parser:
     g.add_argument("--vertices", type=int, default=8)
     g.add_argument("--bars", type=int, default=6)
     g.add_argument("-o", "--output-prefix")
-    _add_common(g, json_flag=False)
     return parser
 
 
@@ -169,11 +166,7 @@ def _cmd_wasserstein(args) -> int:
     p = parse_pexp(args.p)
     B = parse_barcode(_read(args.barcode_a))
     C = parse_barcode(_read(args.barcode_b))
-    value = wasserstein(B, C, p)
-    if args.json:
-        print(json.dumps({"p": args.p, "distance": _jsonable(value, args)}))
-    else:
-        print(_fmt(value, args))
+    _print_distance(wasserstein(B, C, p), args)
     return 0
 
 
@@ -202,43 +195,32 @@ def _cmd_matchdist(args) -> int:
     p = parse_pexp(args.p)
     A = parse_presentation(_read(args.module_a))
     B = parse_presentation(_read(args.module_b))
+    failure = None
     try:
         report = approx_matching_distance(A, B, p, rat(args.eps), max_depth=args.max_depth)
     except SubdivisionLimitError as exc:
-        report = exc.report
-        payload = _report_json(report, args)
-        payload["converged"] = False
-        print(json.dumps(payload) if args.json else
-              f"FAILED ({exc}); lower {_fmt(report.lower, args)} upper {_fmt(report.upper, args)}")
-        return 3
+        report, failure = exc.report, exc
+    lower, upper = _number(report.lower, args), _number(report.upper, args)
     if args.json:
-        print(json.dumps(_report_json(report, args)))
+        payload = {"p": format_pexp(report.p), "epsilon": report.epsilon,
+                   "lower": lower, "upper": upper,
+                   "lines_evaluated": report.lines_evaluated,
+                   "argmax_line": _line_json(report.argmax_admissible())}
+        if failure:
+            payload["converged"] = False
+        print(json.dumps(payload))
+    elif failure:
+        print(f"FAILED ({failure}); lower {lower} upper {upper}")
     else:
-        print(f"lower {_fmt(report.lower, args)} upper {_fmt(report.upper, args)} "
-              f"lines {report.lines_evaluated}")
-    return 0
-
-
-def _report_json(report, args):
-    return {
-        "p": format_pexp(report.p),
-        "epsilon": report.epsilon,
-        "lower": _jsonable(report.lower, args),
-        "upper": _jsonable(report.upper, args),
-        "lines_evaluated": report.lines_evaluated,
-        "argmax_line": _line_json(report.argmax_admissible()),
-    }
+        print(f"lower {lower} upper {upper} lines {report.lines_evaluated}")
+    return 3 if failure else 0
 
 
 def _cmd_labeldist(args) -> int:
     p = parse_pexp(args.p)
     A = parse_presentation(_read(args.module_a))
     B = parse_presentation(_read(args.module_b))
-    value = label_distance(PairedPresentations(A, B), p)
-    if args.json:
-        print(json.dumps({"p": args.p, "distance": _jsonable(value, args)}))
-    else:
-        print(_fmt(value, args))
+    _print_distance(label_distance(PairedPresentations(A, B), p), args)
     return 0
 
 
@@ -247,16 +229,13 @@ def _cmd_bounds(args) -> int:
     A = parse_presentation(_read(args.module_a))
     B = parse_presentation(_read(args.module_b))
     rep = bounds(A, B, p, rat(args.eps))
+    lower, upper = _number(rep.lower, args), _number(rep.upper, args)
     if args.json:
-        print(json.dumps({
-            "p": args.p,
-            "epsilon": float(rat(args.eps)),
-            "lower": _jsonable(rep.lower, args),
-            "upper": _jsonable(rep.upper, args),
-            "provenance": list(rep.provenance),
-        }))
+        print(json.dumps({"p": args.p, "epsilon": float(rat(args.eps)),
+                          "lower": lower, "upper": upper,
+                          "provenance": list(rep.provenance)}))
     else:
-        print(f"lower {_fmt(rep.lower, args)} upper {_fmt(rep.upper, args)}")
+        print(f"lower {lower} upper {upper}")
     return 0
 
 

@@ -55,16 +55,24 @@ def labels_for_matrix(rng, columns, n_rows: int, n_params: int,
     return rows, cols
 
 
+def _random_label_sets(rng, k, n_params, max_rows, max_cols, field, span, denom):
+    """k presentations: k valid label sets over one random matrix."""
+    n_rows = rng.randint(1, max_rows)
+    n_cols = rng.randint(0, max_cols)
+    columns = random_matrix(rng, n_rows, n_cols, field)
+    frozen = tuple(tuple(sorted(c.items())) for c in columns)
+    out = []
+    for _ in range(k):
+        rows, cols = labels_for_matrix(rng, columns, n_rows, n_params, span, denom)
+        out.append(Presentation(field, n_params, tuple(rows), tuple(cols), frozen))
+    return out
+
+
 def random_presentation(rng: random.Random, n_params: int = 2,
                         max_rows: int = 4, max_cols: int = 4,
                         field: PrimeField = PrimeField(2),
                         span: int = 6, denom: int = 2) -> Presentation:
-    n_rows = rng.randint(1, max_rows)
-    n_cols = rng.randint(0, max_cols)
-    columns = random_matrix(rng, n_rows, n_cols, field)
-    rows, cols = labels_for_matrix(rng, columns, n_rows, n_params, span, denom)
-    return Presentation(field, n_params, tuple(rows), tuple(cols),
-                        tuple(tuple(sorted(c.items())) for c in columns))
+    return _random_label_sets(rng, 1, n_params, max_rows, max_cols, field, span, denom)[0]
 
 
 def random_paired_presentations(rng: random.Random, n_params: int = 2,
@@ -72,15 +80,7 @@ def random_paired_presentations(rng: random.Random, n_params: int = 2,
                                 field: PrimeField = PrimeField(2),
                                 span: int = 6, denom: int = 2):
     """Two valid label sets over one random matrix."""
-    n_rows = rng.randint(1, max_rows)
-    n_cols = rng.randint(0, max_cols)
-    columns = random_matrix(rng, n_rows, n_cols, field)
-    frozen = tuple(tuple(sorted(c.items())) for c in columns)
-    out = []
-    for _ in range(2):
-        rows, cols = labels_for_matrix(rng, columns, n_rows, n_params, span, denom)
-        out.append(Presentation(field, n_params, tuple(rows), tuple(cols), frozen))
-    return out[0], out[1]
+    return tuple(_random_label_sets(rng, 2, n_params, max_rows, max_cols, field, span, denom))
 
 
 def random_barcode(rng: random.Random, max_bars: int = 6, span: int = 8,

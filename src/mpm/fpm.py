@@ -55,26 +55,27 @@ def _keyword_int(lines: _Lines, keyword: str) -> tuple[int, int]:
         raise ParseError(f"bad integer {toks[1]!r}", lineno) from exc
 
 
-def _params_line(lines: _Lines) -> int:
-    """The value of a 'params <n>' line, which must be 1 or 2."""
+def _preamble(text: str, kind: str) -> tuple[_Lines, PrimeField, int]:
+    """The lines of a document after its '<kind> 1', 'field <q>' and
+    'params <n>' lines, with its field and n, which must be 1 or 2."""
+    lines = _Lines(text)
+    lineno, header = lines.next(f"'{kind} 1' header")
+    if header.split() != [kind, "1"]:
+        raise ParseError(f"expected '{kind} 1' header, got {header!r}", lineno)
+    lineno, q = _keyword_int(lines, "field")
+    try:
+        field = PrimeField(q)
+    except DataError as exc:
+        raise ParseError(str(exc), lineno) from exc
     lineno, n_params = _keyword_int(lines, "params")
     if n_params not in (1, 2):
         raise ParseError(f"params must be 1 or 2, got {n_params}", lineno)
-    return n_params
+    return lines, field, n_params
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse an ``.fpm`` document into a validated Presentation."""
-    lines = _Lines(text)
-    lineno, header = lines.next("'fpm 1' header")
-    if header.split() != ["fpm", "1"]:
-        raise ParseError(f"expected 'fpm 1' header, got {header!r}", lineno)
-    lineno, q = _keyword_int(lines, "field")
-    try:
-        fld = PrimeField(q)
-    except DataError as exc:
-        raise ParseError(str(exc), lineno) from exc
-    n_params = _params_line(lines)
+    lines, fld, n_params = _preamble(text, "fpm")
 
     lineno, n_rows = _keyword_int(lines, "rows")
     if n_rows < 0:
@@ -110,8 +111,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(f"bad entry pair {rtok!r} {ctok!r}", lineno) from exc
             if not 0 <= r < n_rows:
                 raise ParseError(f"row index {r} out of range", lineno)
-            if not 0 < c < q:
-                raise ParseError(f"coefficient {c} outside the field F_{q}", lineno)
+            if not 0 < c < fld.q:
+                raise ParseError(f"coefficient {c} outside the field {fld}", lineno)
             if r in col:
                 raise ParseError(f"duplicate row index {r}", lineno)
             col[r] = c

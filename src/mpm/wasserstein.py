@@ -60,7 +60,10 @@ class Matching:
 class WassersteinResult:
     p: PExp
     value: Extended          # the distance; Fraction for p in {1, inf}, else float
-    power: Optional[Extended]  # exact sum of p-th powers for finite integral p
+    # sum of p-th powers: exact at finite integral p, inf whenever the
+    # distance is inf and p is finite, else (a finite distance at a
+    # non-integral p, or p = inf) None
+    power: Optional[Extended]
     matching: Matching
 
 
@@ -396,6 +399,11 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     the unscaled one, and dividing by c recovers it exactly.  A
     non-integral p has float costs either way and keeps the Fraction
     inputs.
+
+    The result's power is the exact sum of p-th powers at a finite
+    integral p.  An infinite distance has power inf at every finite p,
+    integral or not, and None at p = inf; a finite distance at a
+    non-integral p has power None.
     """
     p = as_pexp(p)
     fin_b, ess_b = _split(B)

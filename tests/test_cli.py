@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mpm.cli import main
+from mpm.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FPM_F = """fpm 1
 field 2
@@ -172,6 +176,45 @@ def test_hilbert(files, capsys):
     assert main(["hilbert", "--at", "2,2", "--at", "5,5", files["f.fpm"]]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines == ["2,2\t2", "5,5\t1"]
+
+
+def test_output_golden(tmp_path, monkeypatch, capsys):
+    # stdout and exit code of the number-printing commands, recorded before
+    # --digits/--exact/--json were narrowed to the commands that print numbers
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    for name, text in golden["inputs"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for record in golden["records"]:
+        assert main(record["argv"]) == record["exit"], record["argv"]
+        assert capsys.readouterr().out == record["stdout"], record["argv"]
+
+
+def test_number_flags_only_on_number_commands(files, tmp_path, capsys):
+    # the six commands that print no number reject --digits and --exact
+    f, g, x = files["f.fpm"], files["g.fpm"], files["x.cwf"]
+    for argv in (["barcode", "--line", "1,1;0,0", f],
+                 ["restrict", "--line", "1,1;0,0", f],
+                 ["homology", "--deg", "1", x],
+                 ["lift", f, g, "-o", str(tmp_path / "lifted")],
+                 ["hilbert", "--at", "2,2", f],
+                 ["gen", "presentation"]):
+        assert main(argv) == 0
+        for flag in (["--digits", "3"], ["--exact"]):
+            assert main(argv + flag) == 1, argv + flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    # every `mpm ...` line of the README's CLI block names real flags
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("mpm ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_gen_deterministic(capsys):
