@@ -445,14 +445,8 @@ def lift_presentations(P_M: Presentation, P_N: Presentation):
         return FilteredComplex(P.field, 2, cells, boundary)
 
     X = build(P_M)
-    build(P_N)  # validates monotonicity of the g grades as well
-    f = X.grade_map()
-    g = dict(f)
-    for i in range(P_N.n_rows):
-        g[f"e{i}"] = P_N.row_labels[i]
-    for j in range(P_N.n_cols):
-        g[f"t{j}"] = P_N.col_labels[j]
-    return X, f, g
+    # building P_N's complex also validates the monotonicity of g
+    return X, X.grade_map(), build(P_N).grade_map()
 
 
 # ---------------------------------------------------------------------------

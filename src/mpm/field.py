@@ -67,8 +67,6 @@ SparseCol = dict[int, int]  # row index -> nonzero residue
 
 def col_axpy(dst: SparseCol, factor: int, src: SparseCol, q: int) -> SparseCol:
     """dst - factor * src over F_q, dropping zeros.  dst is consumed."""
-    if factor % q == 0:
-        return dst
     for r, v in src.items():
         w = (dst.get(r, 0) - factor * v) % q
         if w:

@@ -12,7 +12,9 @@ as exact p-th powers.  Every lp aggregate (a sum of p-th powers, or a
 max at p = inf) becomes a distance in one place, :func:`lp_root`: a
 float power is rooted by ``**``, an exact one by :func:`pth_root`
 (integer Newton iteration, within one ulp of a double at every
-magnitude a double can hold).
+magnitude a double can hold).  A ``*_power`` function of this package
+returns that aggregate, the quantity :func:`lp_root` roots, at every p
+in [1, inf]; :func:`vec_pnorm_power` is the one for a flat vector.
 """
 from __future__ import annotations
 
@@ -168,9 +170,16 @@ def lp_root(power: Extended, p: PExp) -> Extended:
 
 
 def vec_pnorm_power(values: Iterable[Extended], p: PExp) -> Extended:
-    """Sum of |v|**p over values; exact for integral p.  Requires finite p."""
+    """The lp aggregate of the values, which lp_root turns into their
+    lp-norm: the sum of |v|**p at finite p (exact for integral p), the
+    max |v| at p = inf."""
     if is_inf(p):
-        raise ValueError("p-th power sum undefined for p = inf")
+        best: Extended = Fraction(0)
+        for v in values:
+            a = abs(v)
+            if a > best:
+                best = a
+        return best
     exact = pexp_integral(p)
     e = int(p) if exact else float(p)
     total: Extended = Fraction(0)
@@ -184,23 +193,17 @@ def vec_pnorm_power(values: Iterable[Extended], p: PExp) -> Extended:
 def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
     """lp-norm of the values; exact Fraction for p in {1, inf}, else float.
 
-    At a non-integral p the float powers are taken of |v| / m, with m
+    At p = inf and at integral p it is lp_root of vec_pnorm_power.  At a
+    non-integral p the float powers are taken of |v| / m, with m
     the largest |v|, and the root is multiplied by m.  Every ratio lies
     in [0, 1] and the largest is 1, so no power overflows and the sum
     is at least 1; a ratio whose power underflows adds less than one
     part in 2^1000 to it.  So the result overflows (OverflowError) only
     where the norm itself exceeds a double.
     """
+    if is_inf(p) or pexp_integral(p):
+        return lp_root(vec_pnorm_power(values, p), p)
     vals = list(values)
-    if is_inf(p):
-        best: Extended = Fraction(0)
-        for v in vals:
-            a = abs(v) if not is_inf(v) else INF
-            if a > best:
-                best = a
-        return best
-    if pexp_integral(p):
-        return lp_root(vec_pnorm_power(vals, p), p)
     if any(is_inf(v) for v in vals):
         return INF
     top = max(map(abs, vals), default=0)

@@ -17,7 +17,7 @@ from .errors import (ChainError, ComputationError, DataError, PairingError,
                      SubdivisionLimitError)
 from .field import column_rank
 from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
-                     pexp_integral, vec_pnorm, vec_pnorm_power)
+                     vec_pnorm, vec_pnorm_power)
 from .matchdist import DistanceReport, approx_matching_distance
 from .presentation import Presentation, hilbert_dim, labels
 
@@ -49,11 +49,10 @@ def label_distance(pp: PairedPresentations, p: PExp) -> Extended:
 
 
 def label_distance_power(pp: PairedPresentations, p: PExp) -> Extended:
-    """Exact sum of p-th powers of the label differences (integral p)."""
-    p = as_pexp(p)
-    if not pexp_integral(p):
-        raise DataError("label_distance_power requires a finite integral p")
-    return vec_pnorm_power(_label_deltas(pp), p)
+    """The aggregate of label_distance, which lp_root roots: the sum of
+    p-th powers of the label differences (exact at integral p), or their
+    max |.| at p = inf."""
+    return vec_pnorm_power(_label_deltas(pp), as_pexp(p))
 
 
 # ---------------------------------------------------------------------------

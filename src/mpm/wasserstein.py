@@ -4,9 +4,10 @@ A bar [a1, a2) is identified with the point (a1, a2); unmatched bars pay
 the lp-distance to their diagonal projection m(a).  The convention
 inf - inf = 0 makes a matched pair of essential bars cost only the birth
 difference, while an unmatched essential bar (or an essential bar
-matched to a finite one) costs inf.  matching_cost prices a given
-matching from these terms' coordinate differences (_cost_terms) with
-grades.vec_pnorm and vec_pnorm_power, and roots the sum with lp_root.
+matched to a finite one) costs inf.  cost(sigma, p) is the lp-norm of
+the flat list of these terms' coordinate differences (_cost_terms), so
+matching_cost is grades.vec_pnorm of that list and matching_cost_power
+its vec_pnorm_power.
 
 Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
@@ -26,7 +27,9 @@ denominator of the two barcodes, runs bar_distance on the resulting
 ints and divides the aggregate back once (its docstring proves that the
 answer is unchanged).  A non-integral p has float costs; the
 matching-distance search runs bar_distance on floats.  Every caller
-turns the aggregate into the distance with grades.lp_root.
+turns the aggregate into the distance with grades.lp_root.  Each
+``*_power`` function and WassersteinResult.power is that aggregate,
+the quantity lp_root roots, at every p in [1, inf].
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import floordiv, truediv
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .barcode import Barcode
 from .errors import ComputationError, DataError
@@ -60,10 +63,10 @@ class Matching:
 class WassersteinResult:
     p: PExp
     value: Extended          # the distance; Fraction for p in {1, inf}, else float
-    # sum of p-th powers: exact at finite integral p, inf whenever the
-    # distance is inf and p is finite, else (a finite distance at a
-    # non-integral p, or p = inf) None
-    power: Optional[Extended]
+    # the aggregate, lp_root(power, p) == value: the minimal sum of p-th
+    # powers at finite p (exact at integral p, a float otherwise), the
+    # minimal max cost at p = inf, inf for an infinite distance
+    power: Extended
     matching: Matching
 
 
@@ -71,48 +74,34 @@ class WassersteinResult:
 # the cost of a matching
 
 def _cost_terms(B: Barcode, C: Barcode, sigma: Matching) -> list:
-    """The terms of cost(sigma, p) as coordinate differences.
+    """The coordinate differences whose lp-norm is cost(sigma, p).
 
-    A matched pair gives (|birth difference|, |death difference|), with
-    inf - inf = 0; an unmatched bar gives (h, h), where h is its
-    l-inf distance to the diagonal (inf for an essential bar).  The term
-    costs its lp-norm.
+    A matched pair gives |birth difference| and |death difference|, with
+    inf - inf = 0; an unmatched bar gives h twice, where h is its
+    l-inf distance to the diagonal (inf for an essential bar).
     """
     for i, j in sigma.pairs:
         if not (0 <= i < len(B) and 0 <= j < len(C)):
             raise DataError(f"matching pair ({i}, {j}) out of range")
-    terms = [(abs(B[i][0] - C[j][0]), ext_abs_diff(B[i][1], C[j][1]))
-             for i, j in sigma.pairs]
+    terms = [d for i, j in sigma.pairs
+             for d in (abs(B[i][0] - C[j][0]), ext_abs_diff(B[i][1], C[j][1]))]
     for bars, matched in ((B, {i for i, _ in sigma.pairs}),
                           (C, {j for _, j in sigma.pairs})):
         for k, (birth, death) in enumerate(bars):
             if k not in matched:
                 h = INF if is_inf(death) else (death - birth) / 2
-                terms.append((h, h))
+                terms += (h, h)
     return terms
 
 
 def matching_cost_power(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
-    """Sum of p-th powers of the cost terms of sigma (finite p)."""
-    p = as_pexp(p)
-    if is_inf(p):
-        raise DataError("matching_cost_power requires finite p")
-    total: Extended = Fraction(0)
-    for term in _cost_terms(B, C, sigma):
-        power = vec_pnorm_power(term, p)
-        if is_inf(power):
-            return INF
-        total = total + power
-    return total
+    """The aggregate of cost(sigma, p), which lp_root turns into it."""
+    return vec_pnorm_power(_cost_terms(B, C, sigma), as_pexp(p))
 
 
 def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
     """cost(sigma, p): lp-aggregated matched and diagonal terms."""
-    p = as_pexp(p)
-    if is_inf(p):
-        return max((vec_pnorm(term, p) for term in _cost_terms(B, C, sigma)),
-                   default=Fraction(0))
-    return lp_root(matching_cost_power(B, C, sigma, p), p)
+    return vec_pnorm(_cost_terms(B, C, sigma), as_pexp(p))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +115,6 @@ def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
     algorithm; with int or Fraction entries every comparison is exact.
     """
     n = len(cost)
-    if n == 0:
-        return []
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     match = [0] * (n + 1)  # column -> row, 1-based, 0 = free
@@ -400,10 +387,8 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     non-integral p has float costs either way and keeps the Fraction
     inputs.
 
-    The result's power is the exact sum of p-th powers at a finite
-    integral p.  An infinite distance has power inf at every finite p,
-    integral or not, and None at p = inf; a finite distance at a
-    non-integral p has power None.
+    The result's power is the aggregate, which lp_root turns into its
+    value, at every p; the matching is empty when the distance is inf.
     """
     p = as_pexp(p)
     fin_b, ess_b = _split(B)
@@ -424,13 +409,9 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
             agg = Fraction(agg, scale if is_inf(p) else scale ** int(p))
     else:
         agg, pairs = bar_distance(bars_b, births_b, bars_c, births_c, p, Fraction(0))
-    value = lp_root(agg, p)
-    if is_inf(value):
-        return WassersteinResult(p, INF, None if is_inf(p) else INF,
-                                 Matching(frozenset()))
     pairs = [(fin_b[i], fin_c[j]) for i, j in pairs] + list(zip(ess_b, ess_c))
-    return WassersteinResult(p, value, agg if pexp_integral(p) else None,
-                             Matching(frozenset(pairs)))
+    return WassersteinResult(p, lp_root(agg, p), agg,
+                             Matching(frozenset([] if is_inf(agg) else pairs)))
 
 
 def wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:
@@ -439,9 +420,5 @@ def wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:
 
 
 def wasserstein_power(B: Barcode, C: Barcode, p: PExp) -> Extended:
-    """Exact minimal sum of p-th powers (finite integral p only)."""
-    p = as_pexp(p)
-    if not pexp_integral(p):
-        raise DataError("wasserstein_power requires a finite integral p")
-    res = wasserstein_full(B, C, p)
-    return res.power
+    """The aggregate of the p-Wasserstein distance, which lp_root roots."""
+    return wasserstein_full(B, C, p).power

@@ -6,8 +6,8 @@ scaled integer arithmetic, and an exhaustive search over all matchings
 of two barcodes.  None of it shares code with the package's
 sparse/echelon machinery or its assignment solvers, and it imports no
 private name of the package; the matching search prices each matched
-or diagonal term with the public matching_cost / matching_cost_power
-on one-bar barcodes, and roots the best total with grades.lp_root.
+or diagonal term with the public matching_cost_power on one-bar
+barcodes, and roots the best aggregate with grades.lp_root.
 """
 from __future__ import annotations
 
@@ -15,9 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from mpm import (INF, Barcode, DataError, Extended, Matching, PExp, Presentation,
-                 WassersteinResult, as_pexp, grade_leq, labels, matching_cost,
-                 matching_cost_power)
-from mpm.grades import is_inf, lp_root, pexp_integral
+                 WassersteinResult, as_pexp, grade_leq, labels, matching_cost_power)
+from mpm.grades import is_inf, lp_root
 from mpm.matchdist import ParamBox
 
 
@@ -178,16 +177,16 @@ def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
         raise DataError("brute force limited to |B| + |C| <= 12 bars")
     nb, nc = len(B), len(C)
     use_max = is_inf(p)
-    price = matching_cost if use_max else matching_cost_power
 
     # every term priced once, as the cost of a matching of one-bar barcodes
     singles_b = [Barcode([bar]) for bar in B]
     singles_c = [Barcode([bar]) for bar in C]
     unmatched = Matching(frozenset())
     matched = Matching(frozenset({(0, 0)}))
-    diag_b = [price(b, Barcode(), unmatched, p) for b in singles_b]
-    diag_c = [price(c, Barcode(), unmatched, p) for c in singles_c]
-    pair_term = [[price(b, c, matched, p) for c in singles_c] for b in singles_b]
+    diag_b = [matching_cost_power(b, Barcode(), unmatched, p) for b in singles_b]
+    diag_c = [matching_cost_power(c, Barcode(), unmatched, p) for c in singles_c]
+    pair_term = [[matching_cost_power(b, c, matched, p) for c in singles_c]
+                 for b in singles_b]
 
     best: dict = {"val": INF, "pairs": frozenset()}
 
@@ -230,11 +229,7 @@ def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
 
     rec(0, set(), Fraction(0), [])
     val = best["val"]
-    if is_inf(val):
-        return WassersteinResult(p, INF, INF if not use_max else None,
-                                 Matching(frozenset()))
-    return WassersteinResult(p, lp_root(val, p), val if pexp_integral(p) else None,
-                             Matching(best["pairs"]))
+    return WassersteinResult(p, lp_root(val, p), val, Matching(best["pairs"]))
 
 
 def brute_force_wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:

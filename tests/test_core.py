@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpm
-from mpm import (Barcode, DataError, ParseError, PrimeField, Presentation,
-                 free_presentation, grade_join, grade_leq, hilbert_dim,
-                 labels, parse_presentation, rank_invariant, rat,
-                 serialize_presentation, vec_pnorm, vec_pnorm_power,
-                 wasserstein)
+from mpm import (Barcode, DataError, Matching, PairedPresentations, ParseError,
+                 PrimeField, Presentation, free_presentation, grade_join, grade_leq,
+                 hilbert_dim, label_distance, label_distance_power, labels,
+                 matching_cost, matching_cost_power, parse_presentation,
+                 rank_invariant, rat, serialize_presentation, vec_pnorm,
+                 vec_pnorm_power, wasserstein, wasserstein_power)
 from mpm.field import ColumnEchelon, column_rank, is_prime
-from mpm.fixtures import random_barcode, random_presentation
+from mpm.fixtures import random_barcode, random_paired_presentations, random_presentation
 from mpm.grades import format_rat, is_inf, lp_root, pth_root
 from mpm.wasserstein import bar_distance
 
@@ -287,6 +288,29 @@ def test_pnorm_power_consistency(vals, p):
         assert norm == power
     else:
         assert abs(float(norm) ** p - float(power)) <= 1e-9 * (1 + float(power))
+
+
+def test_every_power_is_what_lp_root_roots():
+    # each *_power function returns the aggregate at every p, p = inf
+    # included, and lp_root turns it into the distance, type and all
+    rng = random.Random(16)
+    for _ in range(40):
+        vals = [F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(0, 6))]
+        vals += [math.inf] * (rng.random() < 0.2)
+        B, C = random_barcode(rng), random_barcode(rng)
+        left, right = list(range(len(B))), list(range(len(C)))
+        rng.shuffle(left)
+        rng.shuffle(right)
+        sigma = Matching(frozenset(zip(left, right[:rng.randint(0, len(right))])))
+        pp = PairedPresentations(*random_paired_presentations(rng))
+        for p in (F(1), F(2), F(3), math.inf):
+            for power, dist in ((vec_pnorm_power(vals, p), vec_pnorm(vals, p)),
+                                (matching_cost_power(B, C, sigma, p),
+                                 matching_cost(B, C, sigma, p)),
+                                (label_distance_power(pp, p), label_distance(pp, p)),
+                                (wasserstein_power(B, C, p), wasserstein(B, C, p))):
+                got = lp_root(power, p)
+                assert (type(got), got) == (type(dist), dist)
 
 
 def _raises_assertion_error(node) -> bool:
