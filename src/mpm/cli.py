@@ -52,7 +52,7 @@ def _number(value, args):
         return format_rat(value)
     if args.json:
         return float(value)
-    return format(float(value), f".{min(50, max(1, args.digits))}g")
+    return format(float(value), f".{args.digits}g")
 
 
 def _print_distance(value, args):
@@ -84,9 +84,20 @@ def _line_json(line):
     return {"v": v, "w": [float(c) for c in line.w]}
 
 
+def _digits(text: str) -> int:
+    """--digits: a number of significant digits from 1 to 50."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if not 1 <= digits <= 50:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 50, got {text!r}")
+    return digits
+
+
 def _add_number_output(sub):
-    sub.add_argument("--digits", type=int, default=12,
-                     help="significant digits for decimal output (default 12)")
+    sub.add_argument("--digits", type=_digits, default=12,
+                     help="significant digits for decimal output, 1 to 50 (default 12)")
     sub.add_argument("--exact", action="store_true",
                      help="print rational results exactly")
     sub.add_argument("--json", action="store_true", help="machine-readable output")

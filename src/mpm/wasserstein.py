@@ -11,13 +11,19 @@ its vec_pnorm_power.
 
 Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
-p >= 1 (and for the bottleneck).  The finite bars go through a
-min-cost assignment on an augmented square matrix (one diagonal ghost
-per bar, ghosts mutually free), solved by shortest augmenting paths.
-For p = inf, bottleneck_assignment bisects over the candidate costs
-instead; each probed threshold is feasible when a graph with one ghost
-per bar, each bar reaching only its own ghost, has a perfect matching,
-found by rounds of augmenting-path searches.
+p >= 1 (and for the bottleneck).  At finite p the finite bars go
+through a min-cost assignment with no diagonal nodes: the smaller
+side's k bars on the rows, the other side's l >= k bars on the columns,
+and entry r_ij = min(0, c_ij - d_i - d_j), with c_ij the pair's cost and
+d_i, d_j the two bars' diagonal costs.  A partial matching costs the sum
+of every diagonal cost plus c_ij - d_i - d_j per matched pair, so the
+negative entries of an optimal assignment form an optimal matching
+(bar_distance proves it); min_cost_assignment solves the k x l matrix
+by shortest augmenting paths.  For p = inf, bottleneck_assignment
+bisects over the candidate costs instead, and keeps its ghosts: each
+probed threshold is feasible when a graph with one ghost per bar, each
+bar reaching only its own ghost, has a perfect matching, found by
+rounds of augmenting-path searches.
 
 bar_distance holds these steps once for any number type and returns
 the aggregate: the sum of p-th powers, or the max at p = inf.  The
@@ -108,38 +114,51 @@ def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
 # exact min-cost assignment (shortest augmenting paths with potentials)
 
 def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
-    """Optimal assignment of a square cost matrix with finite entries.
+    """Optimal assignment of every row of a k x l cost matrix, k <= l.
 
-    Entries may be ints, Fractions or floats (not mixed with inf).
-    Returns row_to_col.  Standard O(n^3) Jonker-Volgenant style
-    algorithm; with int or Fraction entries every comparison is exact.
+    Entries may be ints, Fractions or floats (not mixed with inf); l is
+    read from len(cost[0]), so cost has at least one row.  Returns
+    row_to_col, injective, of least total cost.  bar_distance passes
+    the reduced matrix of its finite bars, the smaller side on the rows,
+    and no diagonal ghosts (see there).
+
+    Jonker-Volgenant style shortest augmenting paths with potentials,
+    O(k^2 l): each row in turn joins by a Dijkstra search over the
+    columns on reduced costs cost[i][j] - u[i] - v[j] >= 0, which ends
+    at the first free column it reaches.  A column's potential only
+    falls, and only once a search has reached it, so every free column
+    keeps v = 0 and every taken one v <= 0: with u[i] + v[j] <= cost[i][j]
+    throughout and equality on the matched pairs, these are the dual
+    conditions under which an assignment of the k rows that leaves
+    l - k columns free is optimal.  With int or Fraction entries every
+    comparison is exact.
     """
-    n = len(cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # column -> row, 1-based, 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    k, l = len(cost), len(cost[0])
+    u = [0] * (k + 1)
+    v = [0] * (l + 1)
+    match = [0] * (l + 1)  # column -> row, 1-based, 0 = free
+    way = [0] * (l + 1)
+    for i in range(1, k + 1):
         match[0] = i
         j0 = 0
-        minv: list = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv: list = [INF] * (l + 1)
+        used = [False] * (l + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             delta = INF
             j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
+            row, ui = cost[i0 - 1], u[i0]
+            for j in range(1, l + 1):
                 if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
+                    cur = row[j - 1] - ui - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            for j in range(n + 1):
+            for j in range(l + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -152,8 +171,8 @@ def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    row_to_col = [0] * n
-    for j in range(1, n + 1):
+    row_to_col = [0] * k
+    for j in range(1, l + 1):
         if match[j]:
             row_to_col[match[j] - 1] = j - 1
     return row_to_col
@@ -319,7 +338,33 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     minimal sum of p-th powers, or at p = inf the minimal max cost (INF
     when the essential bars cannot be paired), and grades.lp_root turns
     it into the distance; pairs lists the matched (i, j) indices into
-    fin_b and fin_c.
+    fin_b and fin_c, in ascending order.
+
+    At finite p the finite bars need no diagonal nodes.  With c_ij the
+    cost of pairing bar i of fin_b with bar j of fin_c, d_i and d_j
+    their diagonal costs and D the sum of every diagonal cost, a partial
+    matching sigma costs D + sum over sigma of (c_ij - d_i - d_j).  Put
+    the smaller side's k bars on the rows, the other side's l >= k bars
+    on the columns, with entry r_ij = min(0, c_ij - d_i - d_j); an
+    assignment pi gives every row a distinct column.  Then
+    min over sigma of cost(sigma) = D + min over pi of sum r_i,pi(i):
+
+    - <=: take an optimal pi and let sigma be its pairs with r_ij < 0.
+      On them r_ij = c_ij - d_i - d_j, and the other pairs of pi add 0,
+      so sigma costs D + sum over pi of r.
+    - >=: any sigma extends to an assignment pi, its unmatched rows
+      sent to distinct unused columns (there are l >= k).  Every entry
+      is <= 0, and r_ij <= c_ij - d_i - d_j, so sum over pi of r <=
+      sum over sigma of r <= cost(sigma) - D.
+
+    So the pairs with r_ij < 0 of the assignment min_cost_assignment
+    returns are an optimal matching.  The aggregate is summed from the
+    original terms, not from D and r, in a fixed order: from zero, the
+    term of each bar of fin_b in index order (its pair cost if matched,
+    else its diagonal cost), then the diagonal cost of each unmatched
+    bar of fin_c in index order, and the essential terms added last;
+    ints stay ints.  The solver runs only when both sides have finite
+    bars.
     """
     if len(ess_b) != len(ess_c):
         return INF, []
@@ -346,17 +391,29 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     ess = pzero
     for b, c in zip(ess_b, ess_c):
         ess = ess + abs(b - c) ** e
-    # augmented square matrix: one diagonal ghost per bar, ghosts mutually free
-    m, n = len(fin_b), len(fin_c)
-    cost = [[abs(b[0] - c[0]) ** e + abs(b[1] - c[1]) ** e for c in fin_c] + [diag(b)] * m
-            for b in fin_b]
-    ghost = [diag(c) for c in fin_c] + [pzero] * m
-    cost += [ghost] * n  # one shared row: the solver only reads cost
-    assign = min_cost_assignment(cost) if cost else []
-    fin = pzero
-    for i, j in enumerate(assign):
-        fin = fin + cost[i][j]
-    return ess + fin, [(i, j) for i, j in enumerate(assign) if i < m and j < n]
+    diag_b, diag_c = [diag(b) for b in fin_b], [diag(c) for c in fin_c]
+    pair = [[abs(b0 - c0) ** e + abs(b1 - c1) ** e for c0, c1 in fin_c]
+            for b0, b1 in fin_b]
+    # r_ij, fin_b on the rows; the solver takes the smaller side on its rows
+    reduced = [[min(pzero, c - db - dc) for c, dc in zip(row, diag_c)]
+               for row, db in zip(pair, diag_b)]
+    if not (fin_b and fin_c):
+        pairs = []
+    elif len(fin_b) <= len(fin_c):
+        pairs = list(enumerate(min_cost_assignment(reduced)))
+    else:
+        pairs = sorted((i, j) for j, i in
+                       enumerate(min_cost_assignment(list(zip(*reduced)))))
+    pairs = [(i, j) for i, j in pairs if reduced[i][j] < pzero]
+    partner = dict(pairs)
+    agg = pzero
+    for i, db in enumerate(diag_b):
+        agg = agg + (pair[i][partner[i]] if i in partner else db)
+    matched = set(partner.values())
+    for j, dc in enumerate(diag_c):
+        if j not in matched:
+            agg = agg + dc
+    return ess + agg, pairs
 
 
 def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
@@ -373,12 +430,17 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     unscaled numbers are equal to its.  Scaling every number by s = 2L
     scales every cost by c = s^p (c = s at p = inf): each cost is a sum
     of p-th powers of differences, or at p = inf a maximum of
-    differences.  min_cost_assignment starts from zero potentials and
-    only adds and subtracts costs, reduced costs and their minima, so by
-    induction each quantity it computes is c times the one it computes
-    on the unscaled costs; as c > 0, every comparison between them has
-    the same outcome, ties included (each is also below its INF starting
-    minima on both scales), and it makes the same choices.
+    differences.  So does each reduced cost r_ij = min(0, c_ij - d_i -
+    d_j) of bar_distance, as min(0, c x) = c min(0, x) for c > 0, and a
+    pair is matched, r_ij < 0, on both scales or on neither.
+    min_cost_assignment starts from zero potentials and only adds and
+    subtracts its entries, its potentials and their minima, so by
+    induction each quantity it computes is c times the one it
+    computes on the unscaled costs; as c > 0, every comparison between
+    them has the same outcome, ties included (each is also below its
+    INF starting minima on both scales), and it makes the same choices.
+    The aggregate sums the matched pairs' and unmatched bars' original
+    costs, each c times its unscaled value, in the same order.
     bottleneck_assignment only compares costs and picks one of them, and
     its candidate list, being sorted and deduplicated, keeps its order
     and length, so its bisection probes the same positions and its

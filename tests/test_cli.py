@@ -205,6 +205,20 @@ def test_number_flags_only_on_number_commands(files, tmp_path, capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_digits_out_of_range_is_a_usage_error(tmp_path, capsys):
+    # --digits outside 1..50 is rejected, not clamped to the nearest end
+    a, b = tmp_path / "a.bc", tmp_path / "b.bc"
+    a.write_text("0 1\n")
+    b.write_text("0 1/3\n")
+    for digits in ("0", "-4", "51", "x"):
+        assert main(["wasserstein", "--p", "1", "--digits", digits, str(a), str(b)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "--digits" in err, digits
+    for digits, out in (("1", "0.7"), ("50", format(2 / 3, ".50g"))):
+        assert main(["wasserstein", "--p", "1", "--digits", digits, str(a), str(b)]) == 0
+        assert capsys.readouterr().out == out + "\n"
+
+
 def test_readme_cli_lines_parse():
     # every `mpm ...` line of the README's CLI block names real flags
     readme = (ROOT / "README.md").read_text()

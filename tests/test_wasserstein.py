@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from mpm import (Barcode, DataError, INF, Matching, matching_cost, wasserstein,
-                 wasserstein_full, wasserstein_power)
+from mpm import (Barcode, DataError, INF, Matching, matching_cost, matching_cost_power,
+                 wasserstein, wasserstein_full, wasserstein_power)
 from mpm.fixtures import random_barcode
-from mpm.grades import lp_root
-from mpm.wasserstein import bottleneck_assignment
+from mpm.grades import is_inf, lp_root
+from mpm.wasserstein import bar_distance, bottleneck_assignment
 
 from oracles import brute_force_full, brute_force_wasserstein
 
@@ -296,7 +296,9 @@ def _golden_record(res):
 
 def test_wasserstein_full_golden():
     # value, power and matching of each case, by type and repr, recorded
-    # with the Fraction-arithmetic solver that the scaled integers replaced
+    # with the Fraction-arithmetic solver that the scaled integers replaced;
+    # records 45-48, 65, 68, 113, 185 and 288 hold the ghost-free reduced
+    # assignment's tie-broken matching or p = 3/2 last ulp
     want = json.loads((Path(__file__).parent / "wasserstein_golden.json").read_text())
     got = [_golden_record(wasserstein_full(B, C, p)) for B, C, p in _golden_cases()]
     assert len(got) == len(want) == 300
@@ -337,3 +339,52 @@ def test_exact_path_costs_are_ints(monkeypatch):
                                    essential_rate=0) for _ in range(2))
             wasserstein_full(B, C, p)
         assert seen and {type(c) for c in seen} == {kind}
+
+
+def test_reduced_assignment_is_exact_on_ties_and_ragged_shapes(monkeypatch):
+    # integer endpoints tie many costs; one side may be empty and the
+    # sides differ in size up to 6 x 2 and 2 x 6.  The returned matching
+    # realizes the power, which is the brute-force optimum, and the
+    # solver sees the smaller side's bars on its rows
+    shapes = []
+    assign = W.min_cost_assignment
+
+    def spy(cost):
+        shapes.append((len(cost), len(cost[0])))
+        return assign(cost)
+
+    monkeypatch.setattr(W, "min_cost_assignment", spy)
+    rng = random.Random(1009)
+    sizes = [(m, n) for m in range(7) for n in range(7) if m + n <= 8]
+    for m, n in sizes * 3:
+        B, C = (Barcode([(b, b + rng.randint(1, 3)) for b in
+                         (rng.randrange(4) for _ in range(k))]) for k in (m, n))
+        for p in (F(1), F(2), F(3), INF):
+            shapes.clear()
+            res = wasserstein_full(B, C, p)
+            assert (matching_cost_power(B, C, res.matching, p) == res.power
+                    == brute_force_full(B, C, p).power), (B, C, p)
+            want = [(min(m, n), max(m, n))] if m and n and not is_inf(p) else []
+            assert shapes == want, (m, n, p)
+
+
+def test_float_aggregate_equals_the_int_one():
+    # on the quarter grid every float cost, reduced cost and sum below is
+    # exact, so bar_distance on the floats makes the int path's choices:
+    # the same pairs, and its aggregate is the int one divided back by
+    # the scale 8 to the p
+    rng = random.Random(1013)
+    for _ in range(60):
+        n_ess = rng.randint(0, 2)
+        sides = [(_quarter_bars(rng, rng.randint(0, 7), 6),
+                  sorted(F(rng.randrange(24), 4) for _ in range(n_ess)))
+                 for _ in range(2)]
+
+        def lists(kind):
+            return [part for bars, births in sides
+                    for part in ([(kind(b), kind(d)) for b, d in bars], [kind(t) for t in births])]
+        for p in (F(1), F(2)):
+            agg_f, pairs_f = bar_distance(*lists(float), p, 0.0)
+            agg_i, pairs_i = bar_distance(*lists(lambda x: int(8 * x)), p, 0)
+            assert type(agg_f) is float and type(agg_i) is int
+            assert pairs_f == pairs_i and F(agg_f) == F(agg_i, 8 ** int(p))
