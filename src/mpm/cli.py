@@ -55,8 +55,8 @@ def _number(value, args):
     return format(float(value), f".{args.digits}g")
 
 
-def _print_distance(value, args):
-    print(json.dumps({"p": args.p, "distance": _number(value, args)}) if args.json
+def _print_distance(value, p, args):
+    print(json.dumps({"p": format_pexp(p), "distance": _number(value, args)}) if args.json
           else _number(value, args))
 
 
@@ -177,7 +177,7 @@ def _cmd_wasserstein(args) -> int:
     p = parse_pexp(args.p)
     B = parse_barcode(_read(args.barcode_a))
     C = parse_barcode(_read(args.barcode_b))
-    _print_distance(wasserstein(B, C, p), args)
+    _print_distance(wasserstein(B, C, p), p, args)
     return 0
 
 
@@ -231,7 +231,7 @@ def _cmd_labeldist(args) -> int:
     p = parse_pexp(args.p)
     A = parse_presentation(_read(args.module_a))
     B = parse_presentation(_read(args.module_b))
-    _print_distance(label_distance(PairedPresentations(A, B), p), args)
+    _print_distance(label_distance(PairedPresentations(A, B), p), p, args)
     return 0
 
 
@@ -242,7 +242,7 @@ def _cmd_bounds(args) -> int:
     rep = bounds(A, B, p, rat(args.eps))
     lower, upper = _number(rep.lower, args), _number(rep.upper, args)
     if args.json:
-        print(json.dumps({"p": args.p, "epsilon": float(rat(args.eps)),
+        print(json.dumps({"p": format_pexp(p), "epsilon": float(rat(args.eps)),
                           "lower": lower, "upper": upper,
                           "provenance": list(rep.provenance)}))
     else:

@@ -20,10 +20,13 @@ of every diagonal cost plus c_ij - d_i - d_j per matched pair, so the
 negative entries of an optimal assignment form an optimal matching
 (bar_distance proves it); min_cost_assignment solves the k x l matrix
 by shortest augmenting paths.  For p = inf, bottleneck_assignment
-bisects over the candidate costs instead, and keeps its ghosts: each
+searches the candidate costs instead, and keeps its ghosts: each
 probed threshold is feasible when a graph with one ghost per bar, each
 bar reaching only its own ghost, has a perfect matching, found by
-rounds of augmenting-path searches.
+rounds of augmenting-path searches.  It probes the floor (the max over
+bars of each bar's cheapest option, the least cost that can be
+feasible) first, and bisects over the costs above it only when that
+probe fails; a line with bars on one side only needs no probe.
 
 bar_distance holds these steps once for any number type and returns
 the aggregate: the sum of p-th powers, or the max at p = inf.  The
@@ -181,23 +184,88 @@ def min_cost_assignment(cost: Sequence[Sequence]) -> list[int]:
 # ---------------------------------------------------------------------------
 # the bottleneck: a threshold search over perfect matchings
 
+def _matching_at(pair_cost, diag_left, diag_right, thr):
+    """match_left of a perfect matching of the ghost graph at thr, or None.
+
+    See bottleneck_assignment for the graph and the search.
+    """
+    m, n = len(diag_left), len(diag_right)
+    # a left ghost lists only its C-bar; its right ghosts come from the
+    # pass's shared iterator (see bottleneck_assignment)
+    adj = [[j for j, c in enumerate(row) if c <= thr] + ([n + i] if d <= thr else [])
+           for i, (row, d) in enumerate(zip(pair_cost, diag_left))]
+    adj += [[k] if d <= thr else [] for k, d in enumerate(diag_right)]
+    ghosts = range(n, n + m)
+    match_l, match_r = [-1] * (m + n), [-1] * (n + m)
+    rest = iter(ghosts)
+    for u, nbrs in enumerate(adj):
+        for w in nbrs:
+            if match_r[w] == -1:
+                match_l[u], match_r[w] = w, u
+                break
+        else:
+            if u >= m:
+                for w in rest:
+                    if match_r[w] == -1:
+                        match_l[u], match_r[w] = w, u
+                        break
+
+    def augment(root, seen, rest):
+        # the path so far: its left nodes, the right nodes after them
+        # and the unexplored edges of each left node
+        lefts, rights = [root], []
+        its = [iter(adj[root]) if root < m else chain(adj[root], rest)]
+        while its:
+            for w in its[-1]:
+                if not seen[w]:
+                    seen[w] = True
+                    rights.append(w)
+                    u = match_r[w]
+                    if u == -1:
+                        for u, w in zip(lefts, rights):
+                            match_l[u], match_r[w] = w, u
+                        return True
+                    lefts.append(u)
+                    its.append(iter(adj[u]) if u < m else chain(adj[u], rest))
+                    break
+            else:
+                its.pop()
+                lefts.pop()
+                if rights:
+                    rights.pop()
+        return False
+
+    while True:
+        free = [u for u, w in enumerate(match_l) if w == -1]
+        if not free:
+            return match_l
+        seen = [False] * (n + m)
+        rest = iter(ghosts)
+        if not sum(augment(u, seen, rest) for u in free):
+            return None
+
+
 def bottleneck_assignment(pair_cost, diag_left, diag_right):
     """Min over matchings of the max cost term, for finite bars only.
 
-    pair_cost: m x n matrix; diag_left/diag_right: diagonal costs.
-    Returns (value, pairs) where pairs matches left to right indices.
-    The value is one of the given costs, so it keeps their number type;
-    with no bars at all it is the int 0.
+    pair_cost: m x n matrix; diag_left/diag_right: diagonal costs, all of
+    one number type.  Returns (value, pairs) where pairs matches left to
+    right indices.  The value is one of the given costs, so it keeps
+    their number type; with no bars at all it is the int 0.  When one
+    side has no bars no pair exists: every bar goes to the diagonal, the
+    value is the largest diagonal cost and pairs is empty, and no graph
+    is built.
 
     A threshold thr is feasible when some partial matching sigma of the
     bars has every pair cost <= thr and every unmatched bar's diagonal
-    cost <= thr.  A bisection over the candidate costs finds the least
-    feasible one.  Each probe asks for a perfect matching in a bipartite
-    graph with one ghost per bar.  Left: the m bars of B, then one ghost
-    per bar of C; right: the n bars of C, then one ghost per bar of B.
-    B-bar i reaches C-bar j when pair_cost[i][j] <= thr, and its own
-    ghost n + i when diag_left[i] <= thr.  Left ghost m + k reaches C-bar
-    k when diag_right[k] <= thr, and every right ghost, at no cost.
+    cost <= thr.  Feasibility is monotone in thr, and the answer is the
+    least feasible given cost.  Each probe (_matching_at) asks for a
+    perfect matching in a bipartite graph with one ghost per bar.  Left:
+    the m bars of B, then one ghost per bar of C; right: the n bars of
+    C, then one ghost per bar of B.  B-bar i reaches C-bar j when
+    pair_cost[i][j] <= thr, and its own ghost n + i when diag_left[i] <=
+    thr.  Left ghost m + k reaches C-bar k when diag_right[k] <= thr,
+    and every right ghost, at no cost.
 
     The graph has a perfect matching exactly when thr is feasible.  The
     bar-to-bar edges of a perfect matching form such a sigma: a B-bar
@@ -206,6 +274,25 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     Conversely, given sigma, send each unmatched B-bar to its own ghost
     and each unmatched C-bar k to left ghost m + k; the |sigma| ghosts
     left on each side pair up freely.
+
+    The search probes the floor first.  Every bar is matched or sent to
+    the diagonal, so no threshold below any bar's cheapest option is
+    feasible: floor, the max over bars of each bar's least cost (its
+    row or column minimum and its diagonal cost), is the least candidate
+    that can be feasible, and is itself a given cost.  When the floor
+    probe succeeds, floor is the answer and that probe's matching is
+    returned.  Otherwise the answer lies strictly above floor and at
+    most ceil, the largest diagonal cost (sending every bar to the
+    diagonal is always feasible), and a bisection over the sorted
+    distinct costs in (floor, ceil] finds the least feasible one: by
+    monotonicity every candidate below it is infeasible and every one
+    from it on is feasible, so the bisection's last feasible probe is
+    at it, and that probe's matching is returned.  So the value and the
+    pairs are the least feasible cost in [floor, ceil] and
+    _matching_at's matching there, whichever thresholds the search
+    probed, since a probe's result depends only on its graph and the
+    graph only on which costs are <= thr.  A bisection over every cost
+    in [floor, ceil] returns the same value and pairs.
 
     A probe starts from a greedy matching (each left node takes its first
     free neighbour) and runs rounds of augmenting-path searches: a
@@ -227,92 +314,27 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     visit.
     """
     m, n = len(diag_left), len(diag_right)
-    if m == 0 and n == 0:
-        return 0, []
-    # The optimum is the largest term of some matching, hence a given
-    # cost.  Every bar is matched or sent to the diagonal, so no
-    # threshold below any bar's cheapest option is feasible; sending
-    # every bar to the diagonal is always feasible.
-    diag = list(diag_left) + list(diag_right)
-    cheapest = [min((d, *row)) for d, row in zip(diag_left, pair_cost)]
-    cheapest += [min((d, *(row[j] for row in pair_cost)))
-                 for j, d in enumerate(diag_right)]
-    floor, ceil = max(cheapest), max(diag)
-    candidates = sorted({c for c in diag + [pair_cost[i][j] for i in range(m)
-                                            for j in range(n)]
-                         if floor <= c <= ceil})
-    ghosts = range(n, n + m)
-
-    def matching_at(thr):
-        """match_left of a perfect matching of the graph at thr, or None."""
-        # a left ghost lists only its C-bar; its right ghosts come from the
-        # pass's shared iterator (see the docstring)
-        adj = [[j for j, c in enumerate(row) if c <= thr] + ([n + i] if d <= thr else [])
-               for i, (row, d) in enumerate(zip(pair_cost, diag_left))]
-        adj += [[k] if d <= thr else [] for k, d in enumerate(diag_right)]
-        match_l, match_r = [-1] * (m + n), [-1] * (n + m)
-        rest = iter(ghosts)
-        for u, nbrs in enumerate(adj):
-            for w in nbrs:
-                if match_r[w] == -1:
-                    match_l[u], match_r[w] = w, u
-                    break
+    if not (m and n):
+        return (max(diag_left or diag_right), []) if m or n else (0, [])
+    floor = max(max(map(min, map(min, pair_cost), diag_left)),
+                max(map(min, map(min, zip(*pair_cost)), diag_right)))
+    value, ml = floor, _matching_at(pair_cost, diag_left, diag_right, floor)
+    if ml is None:
+        ceil = max(max(diag_left), max(diag_right))
+        candidates = sorted({c for c in chain(diag_left, diag_right, *pair_cost)
+                             if floor < c <= ceil})
+        lo, hi = 0, len(candidates) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            found = _matching_at(pair_cost, diag_left, diag_right, candidates[mid])
+            if found is not None:
+                value, ml = candidates[mid], found
+                hi = mid - 1
             else:
-                if u >= m:
-                    for w in rest:
-                        if match_r[w] == -1:
-                            match_l[u], match_r[w] = w, u
-                            break
-
-        def augment(root, seen, rest):
-            # the path so far: its left nodes, the right nodes after them
-            # and the unexplored edges of each left node
-            lefts, rights = [root], []
-            its = [iter(adj[root]) if root < m else chain(adj[root], rest)]
-            while its:
-                for w in its[-1]:
-                    if not seen[w]:
-                        seen[w] = True
-                        rights.append(w)
-                        u = match_r[w]
-                        if u == -1:
-                            for u, w in zip(lefts, rights):
-                                match_l[u], match_r[w] = w, u
-                            return True
-                        lefts.append(u)
-                        its.append(iter(adj[u]) if u < m else chain(adj[u], rest))
-                        break
-                else:
-                    its.pop()
-                    lefts.pop()
-                    if rights:
-                        rights.pop()
-            return False
-
-        while True:
-            free = [u for u, w in enumerate(match_l) if w == -1]
-            if not free:
-                return match_l
-            seen = [False] * (n + m)
-            rest = iter(ghosts)
-            if not sum(augment(u, seen, rest) for u in free):
-                return None
-
-    lo, hi = 0, len(candidates) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ml = matching_at(candidates[mid])
-        if ml is not None:
-            best = (candidates[mid], ml)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise ComputationError("no perfect matching at the largest threshold")
-    value, ml = best
-    pairs = [(i, ml[i]) for i in range(m) if ml[i] < n]
-    return value, pairs
+                lo = mid + 1
+        if ml is None:
+            raise ComputationError("no perfect matching at the largest threshold")
+    return value, [(i, ml[i]) for i in range(m) if ml[i] < n]
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +463,13 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     INF starting minima on both scales), and it makes the same choices.
     The aggregate sums the matched pairs' and unmatched bars' original
     costs, each c times its unscaled value, in the same order.
-    bottleneck_assignment only compares costs and picks one of them, and
-    its candidate list, being sorted and deduplicated, keeps its order
-    and length, so its bisection probes the same positions and its
-    searches see the same graphs.  The aggregate is therefore c times
+    bottleneck_assignment only compares costs and picks one of them.
+    Its floor, a max of mins of costs, scales by c, so the floor probe
+    sees the same graph; the candidates above the floor, being sorted
+    and deduplicated, keep their order and length, so its bisection
+    probes the same positions and its searches see the same graphs.  A
+    one-sided line returns its largest diagonal cost, which scales by c
+    too.  The aggregate is therefore c times
     the unscaled one, and dividing by c recovers it exactly.  A
     non-integral p has float costs either way and keeps the Fraction
     inputs.

@@ -156,6 +156,18 @@ def test_bounds_json(files, capsys):
     assert data["upper"] <= 2.0
 
 
+def test_json_p_is_the_parsed_exponent(files, capsys):
+    # the four distance commands print "p" the same way, as the parsed
+    # exponent's canonical text, whatever spelling --p was given in
+    f, g, a, b = files["f.fpm"], files["g.fpm"], files["a.bc"], files["b.bc"]
+    for text, want in (("3/2", "1.5"), ("6/4", "1.5"), ("1.50", "1.5"),
+                       ("4/3", "4/3"), ("2", "2"), ("Infinity", "inf")):
+        for argv in (["wasserstein", a, b], ["labeldist", f, g],
+                     ["matchdist", "--eps", "4", f, g], ["bounds", "--eps", "4", f, g]):
+            assert main(argv[:1] + ["--p", text, "--json"] + argv[1:]) == 0
+            assert json.loads(capsys.readouterr().out)["p"] == want, (text, argv)
+
+
 def test_homology_pipeline(files, capsys, tmp_path):
     out = tmp_path / "h1.fpm"
     assert main(["homology", "--deg", "1", files["x.cwf"], "-o", str(out)]) == 0
@@ -180,7 +192,9 @@ def test_hilbert(files, capsys):
 
 def test_output_golden(tmp_path, monkeypatch, capsys):
     # stdout and exit code of the number-printing commands, recorded before
-    # --digits/--exact/--json were narrowed to the commands that print numbers
+    # --digits/--exact/--json were narrowed to the commands that print numbers;
+    # the six --p 3/2 JSON records of wasserstein, labeldist and bounds were
+    # re-recorded when their "p" became the parsed exponent's text ("1.5")
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
     for name, text in golden["inputs"].items():
         (tmp_path / name).write_text(text)

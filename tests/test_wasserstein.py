@@ -179,6 +179,58 @@ def test_bottleneck_values_pinned():
             assert _realized(*inputs, pairs) == value
 
 
+def _probe_spy(monkeypatch):
+    """The thresholds bottleneck_assignment probes, in order."""
+    probes, probe = [], W._matching_at
+
+    def spy(pair_cost, diag_left, diag_right, thr):
+        probes.append(thr)
+        return probe(pair_cost, diag_left, diag_right, thr)
+
+    monkeypatch.setattr(W, "_matching_at", spy)
+    return probes
+
+
+def test_bottleneck_probes_the_floor_first(monkeypatch):
+    # a line with bars on one side only needs no probe: every bar goes to
+    # the diagonal.  Otherwise the first probe is the floor, the max over
+    # bars of each bar's cheapest option, and when the floor is the
+    # answer it is the only probe
+    probes = _probe_spy(monkeypatch)
+    for *inputs, want in (([], [], [], (0, [])),
+                          ([[], []], [1, 3], [], (3, [])),
+                          ([], [], [0.5, 1.5], (1.5, []))):
+        probes.clear()
+        assert bottleneck_assignment(*inputs) == want and probes == []
+    rng = random.Random(887)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        B, C = ([(b, b + rng.randint(1, 3)) for b in
+                 (rng.randrange(3) for _ in range(k))] for k in (m, n))
+        pair_cost, diag_l, diag_r = _bottleneck_inputs(B, C)
+        floor = max([min([d, *row]) for row, d in zip(pair_cost, diag_l)]
+                    + [min([d, *(row[j] for row in pair_cost)])
+                       for j, d in enumerate(diag_r)])
+        probes.clear()
+        value, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
+        assert _realized(pair_cost, diag_l, diag_r, pairs) == value
+        assert probes[0] == floor
+        assert (value == floor) == (probes == [floor])
+
+
+def test_bottleneck_floor_infeasible_falls_back(monkeypatch):
+    # the floor is 0, but two B-bars cannot both take C-bar 0: the search
+    # bisects above the floor and finds 5, in ints and in floats
+    probes = _probe_spy(monkeypatch)
+    for zero in (0, 0.0):
+        probes.clear()
+        inputs = [[zero], [zero]], [zero + 5, zero + 5], [zero + 5]
+        value, pairs = bottleneck_assignment(*inputs)
+        assert (value, pairs) == (5, [(0, 0)]) and type(value) is type(zero)
+        assert _realized(*inputs, pairs) == value
+        assert probes == [0, 5]
+
+
 def test_symmetry_exact():
     rng = random.Random(5)
     for _ in range(40):
