@@ -95,6 +95,28 @@ def _digits(text: str) -> int:
     return digits
 
 
+def _eps(text: str) -> Fraction:
+    """--eps: a positive decimal or rational."""
+    try:
+        eps = rat(text)
+    except (ValueError, ZeroDivisionError):
+        eps = 0
+    if eps <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return eps
+
+
+def _max_depth(text: str) -> int:
+    """--max-depth: a non-negative integer."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return depth
+
+
 def _add_number_output(sub):
     sub.add_argument("--digits", type=_digits, default=12,
                      help="significant digits for decimal output, 1 to 50 (default 12)")
@@ -125,8 +147,9 @@ def build_parser() -> _Parser:
 
     m = subs.add_parser("matchdist", help="certified p-matching distance approximation")
     m.add_argument("--p", required=True)
-    m.add_argument("--eps", required=True)
-    m.add_argument("--max-depth", type=int, default=60)
+    m.add_argument("--eps", type=_eps, required=True)
+    m.add_argument("--max-depth", type=_max_depth, default=60,
+                   help="subdivision depth limit (default 60)")
     m.add_argument("module_a")
     m.add_argument("module_b")
     _add_number_output(m)
@@ -139,7 +162,7 @@ def build_parser() -> _Parser:
 
     bo = subs.add_parser("bounds", help="lower/upper bounds for the presentation distance")
     bo.add_argument("--p", required=True)
-    bo.add_argument("--eps", required=True)
+    bo.add_argument("--eps", type=_eps, required=True)
     bo.add_argument("module_a")
     bo.add_argument("module_b")
     _add_number_output(bo)
@@ -208,7 +231,7 @@ def _cmd_matchdist(args) -> int:
     B = parse_presentation(_read(args.module_b))
     failure = None
     try:
-        report = approx_matching_distance(A, B, p, rat(args.eps), max_depth=args.max_depth)
+        report = approx_matching_distance(A, B, p, args.eps, max_depth=args.max_depth)
     except SubdivisionLimitError as exc:
         report, failure = exc.report, exc
     lower, upper = _number(report.lower, args), _number(report.upper, args)
@@ -239,10 +262,10 @@ def _cmd_bounds(args) -> int:
     p = parse_pexp(args.p)
     A = parse_presentation(_read(args.module_a))
     B = parse_presentation(_read(args.module_b))
-    rep = bounds(A, B, p, rat(args.eps))
+    rep = bounds(A, B, p, args.eps)
     lower, upper = _number(rep.lower, args), _number(rep.upper, args)
     if args.json:
-        print(json.dumps({"p": format_pexp(p), "epsilon": float(rat(args.eps)),
+        print(json.dumps({"p": format_pexp(p), "epsilon": float(args.eps),
                           "lower": lower, "upper": upper,
                           "provenance": list(rep.provenance)}))
     else:
@@ -340,7 +363,7 @@ def main(argv=None) -> int:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError) as exc:
-        # malformed flag values (--p, --eps, --at grades)
+        # malformed flag values (--p, --at grades)
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -13,7 +13,12 @@ increase on s >= 0, and is monotone in mu on each side of mu = 0.  So
 on a box off both seams each label's max over the box is at one of the
 two corners on the s-edge nearer to s = 0 and its min at one of the two
 on the far s-edge; only boxes that straddle s = 0 or mu = 0 scan the
-grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).
+grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).  For
+labels >= 0, as in the search, which translates them into [0, C]^2,
+the push does not increase as |mu| grows either, so the max is at the
+one corner nearest (s, mu) = (0, 0) and the min at the farthest one
+(proof at _split_bounds).
+
 The push (lines._pushes, fed by the chart _chart), the box deviation,
 the bars along a line (onepar.barcode_pairs) and the per-line
 Wasserstein distance are each written once, generic in the number
@@ -25,13 +30,16 @@ re-evaluated in exact arithmetic on the report's argmax_admissible line
 (integral p and p = inf); a value above the inflated float upper bound
 is an error.
 
-Each push and each reduction is computed once.  When a box is split,
-the children of every candidate split are bounded in one batch over
-the labels of both modules, so each distinct chart point (parent
-corners, cut corners, child centers) is pushed once; the pushes at the
-chosen children's centers then give their per-line values without
-pushing again.  The pivot pairing of each module is memoized by (row
-order, column order) for the duration of one call (barcode_pairs).
+Each reduction is computed once.  When a box is split, the children of
+both candidate splits are bounded in one batch over the labels of both
+modules.  Off the seams (_split_bounds) that takes 10 pushes: the 4
+child centers, the parent's two extreme corners, which were pushed
+before when the parent itself was bounded, and two points on each cut.
+The root and the few seam boxes go through _deviations, which pushes
+each distinct chart point of the batch once.  The pushes at the chosen
+children's centers then give their per-line values without pushing
+again.  The pivot pairing of each module is memoized by (row order,
+column order) for the duration of one call (barcode_pairs).
 """
 from __future__ import annotations
 
@@ -270,6 +278,84 @@ def _box_bounds(M: _ModuleData, N: _ModuleData, boxes: list,
             for center, devs in _deviations(M.labels + N.labels, boxes)]
 
 
+def _split_bounds(M: _ModuleData, N: _ModuleData, box: tuple,
+                  pf: Optional[float]) -> list:
+    """_box_bounds of the four children of both splits of an off-seam box.
+
+    box (sl, sh, ml, mh) lies off both seams (sl >= 0 or sh <= 0, and
+    ml >= 0 or mh <= 0) and has both cuts cs = (sl + sh) / 2 and
+    cm = (ml + mh) / 2 strictly inside.  The children are
+    (sl, cs, ml, mh), (cs, sh, ml, mh), (sl, sh, ml, cm) and
+    (sl, sh, cm, mh), in that order, and the result equals
+    _box_bounds on them bit for bit.  It takes 10 pushes, the 4 child
+    centers and 6 extreme corners, where _deviations takes 12.
+
+    The two-corner rule.  On each axis call the end of the box's range
+    nearer to 0 near (sl when sl >= 0, else sh; likewise for mu) and
+    the other far.  Every label here is >= 0: _ModuleData translates
+    them into [0, C]^2, so each coordinate is +0.0 or positive.  The
+    push is max(T1, T2) with T1 = kx (ax - wx) and T2 = ky (ay - wy).
+    - In s: for fixed mu the float push does not increase as |s| grows,
+      on either side of s = 0 (proof at _deviations).
+    - In mu, on mu >= 0 (kx = 1, ky = 1 - mu): for fixed s, T1 is
+      constant and the float ky does not increase with mu.  If the
+      fixed factor ay - wy is >= 0, T2 does not increase either, as
+      rounding is monotone.  If it is < 0, then wy > 0, so s < 0 and
+      wx = 0, and T2 <= 0 <= ax = T1: the push has T1's value at every
+      mu (T2 = -0.0 at ky = 0 ties T1 = 0.0 in value).
+    - In mu, on mu <= 0 (kx = 1 + mu, ky = 1): the same with the terms
+      swapped.  The float kx does not decrease with mu, and a factor
+      ax - wx < 0 means s > 0 and wy = 0, so T1 <= 0 <= ay = T2.
+    - Signed zeros: s = -0.0 and mu = -0.0 take the charts of s >= 0
+      and mu >= 0, which equal the other side's at 0 (1 + -0.0 and
+      1 - -0.0 are 1.0, and ax - -0.0 is ax), so the seams themselves
+      are no exception.
+    So the push does not increase as |s| or |mu| grows, and in value
+    each label's max over the box is its push at (near s, near mu) and
+    its min its push at (far s, far mu).  These are the larger of
+    _deviations' two near-edge corner pushes and the smaller of its two
+    far-edge ones, up to the sign of a zero.  A zero's sign leaves the
+    deviation's bits alone: hi - c and c - lo are >= 0, a zero one
+    never wins x > y, and y + 0.0 is +0.0 for either zero.
+
+    The near child of each split keeps the parent's near corner and has
+    its far corner on the cut; the far child has its near corner on the
+    cut and keeps the parent's far corner.  So (near, near) and
+    (far, far) serve two children each.  The centers are pushed at the
+    floats _deviations uses, and the deviations and bounds are built by
+    the same expressions, so every bit matches.  With a label below 0
+    the rule fails (a push can then be least inside a mu range), which
+    is why _deviations keeps four corners for label_deviation and
+    local_bound, whose labels may have either sign.
+    """
+    sl, sh, ml, mh = box
+    cs, cm = (sl + sh) / 2, (ml + mh) / 2
+    near_s, far_s = (sl, sh) if sl >= 0.0 else (sh, sl)
+    near_m, far_m = (ml, mh) if ml >= 0.0 else (mh, ml)
+    label_vec = M.labels + N.labels
+    nn = _pushes(label_vec, _chart(near_s, near_m, 0.0, 1.0))
+    ff = _pushes(label_vec, _chart(far_s, far_m, 0.0, 1.0))
+    # (hi, lo) corner pushes of the near child, then of the far child
+    s_ends = [(nn, _pushes(label_vec, _chart(cs, far_m, 0.0, 1.0))),
+              (_pushes(label_vec, _chart(cs, near_m, 0.0, 1.0)), ff)]
+    m_ends = [(nn, _pushes(label_vec, _chart(far_s, cm, 0.0, 1.0))),
+              (_pushes(label_vec, _chart(near_s, cm, 0.0, 1.0)), ff)]
+    if sl < 0.0:
+        s_ends.reverse()
+    if ml < 0.0:
+        m_ends.reverse()
+    k = len(M.labels)
+    out = []
+    for s, mu, (hi, lo) in zip(((sl + cs) / 2, (cs + sh) / 2, cs, cs),
+                               (cm, cm, (ml + cm) / 2, (cm + mh) / 2),
+                               s_ends + m_ends):
+        center = _pushes(label_vec, _chart(s, mu, 0.0, 1.0))
+        devs = [x if (x := a - c) > (y := c - d) else y + 0.0
+                for c, a, d in zip(center, hi, lo)]
+        out.append((center, _lp(devs[:k], pf) + _lp(devs[k:], pf)))
+    return out
+
+
 def _line_value(M: _ModuleData, N: _ModuleData, pushes: list, p: PExp) -> float:
     """Float per-line distance from the pushes of M.labels + N.labels."""
     k = len(M.labels)
@@ -346,13 +432,12 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     N = _ModuleData(P_N, ux, uy)
     pf = None if is_inf(p) else float(p)
 
-    def box_bounds(boxes):
-        """Per box: the pushes at its center and its inflated bound."""
-        return [(center, b * (1.0 + 1e-12) + _INFLATE)
-                for center, b in _box_bounds(M, N, boxes, pf)]
+    def inflated(bounded):
+        """The (center pushes, bound) pairs with each bound inflated."""
+        return [(center, b * (1.0 + 1e-12) + _INFLATE) for center, b in bounded]
 
     root = (-Cf, Cf, -1.0, 1.0)
-    [(root_pushes, root_bound)] = box_bounds([root])
+    [(root_pushes, root_bound)] = inflated(_box_bounds(M, N, [root], pf))
     root_val = _line_value(M, N, root_pushes, p)
     evaluated = 1
     argmax = LineParam(0, 0)
@@ -387,8 +472,10 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         Every box is a dyadic cell of the root, whose midpoints are the
         seams s = 0 and mu = 0; so a box straddles a seam only while it
         spans that axis in full, and then its midpoint is the seam.  The
-        children of all candidates are bounded in one batch.  Returns
-        (children, [(center pushes, bound)]) or None for a point box.
+        children of all candidates are bounded in one batch, by
+        _split_bounds when the box is off both seams and has both cuts.
+        Returns (children, [(center pushes, bound)]) or None for a point
+        box.
         """
         sl, sh, ml, mh = box
         cands = []
@@ -400,7 +487,11 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
             cands.append((1, [(sl, sh, ml, cut), (sl, sh, cut, mh)]))
         if not cands:
             return None
-        bounded = box_bounds([ch for _, children in cands for ch in children])
+        if len(cands) == 2 and not (sl < 0.0 < sh or ml < 0.0 < mh):
+            bounded = inflated(_split_bounds(M, N, box, pf))
+        else:
+            bounded = inflated(_box_bounds(
+                M, N, [ch for _, children in cands for ch in children], pf))
         best = None
         for i, (axis, children) in enumerate(cands):
             pair = bounded[2 * i:2 * i + 2]

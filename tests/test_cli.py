@@ -283,9 +283,19 @@ def test_computation_failure_exit_code(files, capsys):
     assert code == 3
 
 
-def test_negative_max_depth_is_a_data_error(files, capsys):
-    # bad input exits 2 like a bad --eps, not 3 like a failed computation
+def test_bad_eps_and_max_depth_are_usage_errors(files, capsys):
+    # a non-positive --eps or a negative --max-depth is a bad flag (exit 1,
+    # naming it) like --eps abc, not a data error (2) or a failed
+    # computation (3); --max-depth 0 (the root line only) stays valid
     pair = [files["f.fpm"], files["g.fpm"]]
-    assert main(["matchdist", "--p", "inf", "--eps", "0.1", "--max-depth", "-1"] + pair) == 2
-    assert "max_depth" in capsys.readouterr().err
-    assert main(["matchdist", "--p", "inf", "--eps", "-1"] + pair) == 2
+    for command, flags in (("matchdist", ["--eps", "0.1", "--max-depth", "-1"]),
+                           ("matchdist", ["--eps", "0.1", "--max-depth", "two"]),
+                           ("matchdist", ["--eps", "-1"]),
+                           ("matchdist", ["--eps", "0"]),
+                           ("matchdist", ["--eps", "abc"]),
+                           ("bounds", ["--eps", "-1/2"]),
+                           ("bounds", ["--eps", "0.0"])):
+        assert main([command, "--p", "inf"] + flags + pair) == 1, (command, flags)
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and flags[-2] in err, (command, flags)
+    assert main(["matchdist", "--p", "inf", "--eps", "0.1", "--max-depth", "0"] + pair) == 3

@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +15,7 @@ from mpm import matchdist
 from mpm.field import PrimeField
 from mpm.lines import _pushes
 from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _deviations,
-                           _line_value, _lp, label_deviation)
+                           _line_value, _lp, _split_bounds, label_deviation)
 from mpm.presentation import Presentation, labels
 
 from oracles import box_sample_max_power
@@ -108,7 +110,8 @@ def test_label_deviation_dominates_dense_sampling():
 def test_float_box_bound_equals_exact_bound_on_dyadic_inputs():
     # dyadic labels and box corners keep every float operation exact, so
     # the branch-and-bound's box bound must equal the exact local bound;
-    # a box and its split children go through one batch, sharing corners
+    # a box and its split children go through one batch, sharing corners,
+    # and the children of an off-seam box also through _split_bounds
     rng = random.Random(137)
     for _ in range(200):
         labs_m, labs_n = ([(F(rng.randrange(0, 25), 4), F(rng.randrange(0, 25), 4))
@@ -124,7 +127,11 @@ def test_float_box_bound_equals_exact_bound_on_dyadic_inputs():
                  (sl, sh, ml, mm), (sl, sh, mm, mh)]
         for p, pf in ((F(1), 1.0), (math.inf, None)):
             fast = _box_bounds(M, N, [tuple(map(float, b)) for b in boxes], pf)
-            for b, (_, bound) in zip(boxes, fast):
+            checked = list(zip(boxes, fast))
+            if sl < sm < sh and ml < mm < mh and not (sl < 0 < sh or ml < 0 < mh):
+                kernel = _split_bounds(M, N, tuple(map(float, boxes[0])), pf)
+                checked += zip(boxes[1:], kernel)
+            for b, (_, bound) in checked:
                 box = ParamBox(*b)
                 assert bound == float(local_bound(labs_m, box, p) + local_bound(labs_n, box, p))
 
@@ -224,6 +231,120 @@ def test_box_deviations_match_full_grid():
             assert bound.hex() == (_lp(devs[:k], pf) + _lp(devs[k:], pf)).hex()
 
 
+def _off_seam_box(rng, C):
+    """A float box off both seams with both cuts: a random quadrant, an
+    edge touching s = 0 or mu = 0 as 0.0 or -0.0, or reaching |mu| = 1,
+    or a dyadic cell some 40 random splits below the root."""
+    if rng.random() < 0.25:
+        box = (-C, C, -1.0, 1.0)
+        for _ in range(rng.randint(36, 44)):
+            sl, sh, ml, mh = box
+            cs, cm = (sl + sh) / 2, (ml + mh) / 2
+            box = rng.choice([(sl, cs, ml, mh), (cs, sh, ml, mh),
+                              (sl, sh, ml, cm), (sl, sh, cm, mh)])
+        return box
+    def side(hi, r):
+        lo, up = sorted(rng.uniform(0, hi) for _ in range(2))
+        if r < 0.2:
+            lo = rng.choice((0.0, -0.0))
+        elif r < 0.3 and hi == 1.0:
+            up = 1.0
+        return (lo, up) if rng.random() < 0.5 else (-up, -lo)
+    sl, sh = side(C, rng.random())
+    ml, mh = side(1.0, rng.random())
+    return sl, sh, ml, mh
+
+
+def test_split_bounds_equal_box_bounds_bit_for_bit():
+    # the kernel reads each label's extremes off one near and one far
+    # corner of each child; on labels >= 0 (0.0 included) its centers and
+    # bounds must equal _box_bounds' on the same four children, in every
+    # quadrant, on edges touching a seam as 0.0 or -0.0, on mu ranges
+    # reaching the limit lines and on tiny dyadic boxes
+    rng = random.Random(227)
+    hexed = lambda xs: [x.hex() for x in xs]
+    for _ in range(600):
+        C = rng.choice((1.0, 3.5, rng.uniform(0.5, 40.0)))
+        M, N = (SimpleNamespace(labels=[
+            tuple(rng.choice((0.0, C, rng.uniform(0, C), rng.uniform(0, C)))
+                  for _ in range(2)) for _ in range(rng.randint(1, 6))])
+            for _ in range(2))
+        box = _off_seam_box(rng, C)
+        sl, sh, ml, mh = box
+        cs, cm = (sl + sh) / 2, (ml + mh) / 2
+        assert sl < cs < sh and ml < cm < mh, box
+        children = [(sl, cs, ml, mh), (cs, sh, ml, mh), (sl, sh, ml, cm), (sl, sh, cm, mh)]
+        for pf in (None, 1.0, 2.0):
+            got = _split_bounds(M, N, box, pf)
+            want = _box_bounds(M, N, children, pf)
+            assert [(hexed(c), b.hex()) for c, b in got] == \
+                [(hexed(c), b.hex()) for c, b in want], (box, pf)
+
+
+def test_two_corner_rule_needs_nonnegative_labels():
+    # with a label below 0 the push can grow with |mu|: (0, -1) on
+    # s in [1, 2], mu in [0, 1/2] pushes to max(-s, mu - 1), least at the
+    # corner nearest (0, 0); the two corners undercut the grid there,
+    # which is why _deviations keeps four corners for any-sign labels
+    a = (F(0), F(-1))
+    box = ParamBox(1, 2, 0, F(1, 2))
+    at = lambda s, mu: push(line_of_param(LineParam(s, mu)), a)
+    c = at(box.center.s, box.center.mu)
+    two_corner = max(at(1, 0) - c, c - at(2, F(1, 2)))
+    assert two_corner == F(-1, 4) < label_deviation(a, box) == F(1, 4)
+    M, N = SimpleNamespace(labels=[(0.0, -1.0)]), SimpleNamespace(labels=[])
+    children = [(1.0, 1.5, 0.0, 0.5), (1.5, 2.0, 0.0, 0.5),
+                (1.0, 2.0, 0.0, 0.25), (1.0, 2.0, 0.25, 0.5)]
+    got = [b for _, b in _split_bounds(M, N, (1.0, 2.0, 0.0, 0.5), None)]
+    want = [b for _, b in _box_bounds(M, N, children, None)]
+    assert all(g < w for g, w in zip(got, want))
+
+
+def test_off_seam_splits_push_ten_chart_points(monkeypatch):
+    # a split of a box off both seams pushes its 4 child centers and 6
+    # extreme corners, not the 12 points of four corners per child, and
+    # its labels are translated into [0, C]^2, as the two-corner rule
+    # needs; the few seam splits keep the grid of _deviations
+    count = [0]
+    marks, seam_batches = [], []
+
+    def pushes_spy(label_vec, chart):
+        count[0] += 1
+        return _pushes(label_vec, chart)
+
+    def line_value_spy(M, N, pushes, p):
+        marks.append(count[0])
+        return _line_value(M, N, pushes, p)
+
+    def deviations_spy(label_vec, boxes):
+        seam_batches.append(boxes)
+        return _deviations(label_vec, boxes)
+
+    def kernel_spy(M, N, box, pf):
+        assert all(x >= 0 and math.copysign(1.0, x) == 1.0
+                   for a in M.labels + N.labels for x in a)
+        return _split_bounds(M, N, box, pf)
+
+    monkeypatch.setattr(matchdist, "_pushes", pushes_spy)
+    monkeypatch.setattr(matchdist, "_line_value", line_value_spy)
+    monkeypatch.setattr(matchdist, "_deviations", deviations_spy)
+    monkeypatch.setattr(matchdist, "_split_bounds", kernel_spy)
+    for seed, p in (("plateau3", INF), (0, 1), (21, 2)):
+        P, Q, eps = golden_inputs(seed)
+        count[0] = 0
+        marks.clear()
+        seam_batches.clear()
+        rep = approx_matching_distance(P, Q, p, eps)
+        # the root line, then each split's two child lines, both bounded
+        # before the first is evaluated
+        assert len(marks) == rep.lines_evaluated
+        assert marks[2::2] == marks[1::2]
+        per_split = Counter(marks[i] - marks[i - 1] for i in range(1, len(marks), 2))
+        seam_splits = len(seam_batches) - 1
+        off_seam = sum(per_split.values()) - seam_splits
+        assert per_split[10] == off_seam > 0.9 * sum(per_split.values()), (seed, per_split)
+
+
 # (seed, p, lower, upper, lines_evaluated, max_depth_seen, argmax_line) of
 # approx_matching_distance(P, Q, p, 1/4) on
 # random_paired_presentations(Random(seed), 2, 4, 4): every decision of the
@@ -289,7 +410,12 @@ def test_only_full_range_boxes_straddle_a_seam(monkeypatch):
         seen.extend(boxes)
         return _deviations(label_vec, boxes)
 
+    def kernel_spy(M, N, box, pf):
+        seen.append(box)
+        return _split_bounds(M, N, box, pf)
+
     monkeypatch.setattr(matchdist, "_deviations", spy)
+    monkeypatch.setattr(matchdist, "_split_bounds", kernel_spy)
     for seed, p, *_ in GOLDEN_APPROX:
         P, Q, eps = golden_inputs(seed)
         seen.clear()
