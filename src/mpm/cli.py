@@ -106,15 +106,18 @@ def _eps(text: str) -> Fraction:
     return eps
 
 
-def _max_depth(text: str) -> int:
-    """--max-depth: a non-negative integer."""
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = -1
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return depth
+def _int_at_least(least: int):
+    """The argparse type of a count flag: an integer >= least."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {least}, got {text!r}")
+        return value
+    return count
 
 
 def _add_number_output(sub):
@@ -148,7 +151,7 @@ def build_parser() -> _Parser:
     m = subs.add_parser("matchdist", help="certified p-matching distance approximation")
     m.add_argument("--p", required=True)
     m.add_argument("--eps", type=_eps, required=True)
-    m.add_argument("--max-depth", type=_max_depth, default=60,
+    m.add_argument("--max-depth", type=_int_at_least(0), default=60,
                    help="subdivision depth limit (default 60)")
     m.add_argument("module_a")
     m.add_argument("module_b")
@@ -168,7 +171,7 @@ def build_parser() -> _Parser:
     _add_number_output(bo)
 
     h = subs.add_parser("homology", help="presentation of the degree-j homology of a .cwf")
-    h.add_argument("--deg", type=int, required=True)
+    h.add_argument("--deg", type=_int_at_least(0), required=True)
     h.add_argument("complex")
     h.add_argument("-o", "--output")
 
@@ -188,10 +191,10 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--params", type=int, default=2)
     g.add_argument("--field", type=int, default=2)
-    g.add_argument("--rows", type=int, default=4)
-    g.add_argument("--cols", type=int, default=4)
-    g.add_argument("--vertices", type=int, default=8)
-    g.add_argument("--bars", type=int, default=6)
+    g.add_argument("--rows", type=_int_at_least(1), default=4)
+    g.add_argument("--cols", type=_int_at_least(0), default=4)
+    g.add_argument("--vertices", type=_int_at_least(0), default=8)
+    g.add_argument("--bars", type=_int_at_least(0), default=6)
     g.add_argument("-o", "--output-prefix")
     return parser
 

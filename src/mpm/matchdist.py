@@ -19,13 +19,15 @@ the push does not increase as |mu| grows either, so the max is at the
 one corner nearest (s, mu) = (0, 0) and the min at the farthest one
 (proof at _split_bounds).
 
-The push (lines._pushes, fed by the chart _chart), the box deviation,
-the bars along a line (onepar.barcode_pairs) and the per-line
-Wasserstein distance are each written once, generic in the number
-type: exact on Fractions (label_deviation, local_bound, wasserstein)
-and on ints scaled by common denominators (barcode_along_line), while
-the branch-and-bound loop runs the same code on floats with a small
-inflation (~1e-9) on every upper-bound term.  The final lower bound is
+The push (lines._pushes), the box deviation, the bars along a line
+(onepar.barcode_pairs) and the per-line Wasserstein distance are each
+written once, generic in the number type: exact on Fractions
+(label_deviation, local_bound, wasserstein) and on ints scaled by
+common denominators (barcode_along_line), while the branch-and-bound
+loop runs the same code on floats with a small inflation (~1e-9) on
+every upper-bound term.  At a chart point (s, mu) the box bounds push
+by _push_at, the push with the chart's (_chart) 1s and 0s folded in,
+equal to lines._pushes bit for bit.  The final lower bound is
 re-evaluated in exact arithmetic on the report's argmax_admissible line
 (integral p and p = inf); a value above the inflated float upper bound
 is an error.
@@ -52,7 +54,7 @@ from typing import Optional, Sequence
 from .errors import ComputationError, DataError, SubdivisionLimitError
 from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, lp_root,
                      pexp_integral, rat, vec_pnorm)
-from .lines import AdmissibleLine, Line, LimitLine, _pushes, barcode_along_line
+from .lines import AdmissibleLine, Line, LimitLine, barcode_along_line
 from .onepar import barcode_pairs
 from .presentation import Presentation, labels
 from .wasserstein import bar_distance, wasserstein
@@ -76,12 +78,14 @@ class LineParam:
 
 
 def _chart(s, mu, zero, one):
-    """The chart (kx, ky, wx, wy) of the line (s, mu) for lines._pushes.
+    """The chart (kx, ky, wx, wy) of the line (s, mu), as lines._pushes
+    reads it.
 
     The line has base point w = (wx, wy) and direction (1/kx, 1/ky); kx
     or ky is 0 on the limit lines |mu| = 1.  zero and one carry the
-    number type, so Fractions stay exact and floats meet no ints in the
-    per-label loop.
+    number type.  line_of_param builds its line from this chart; the
+    search pushes at chart points by _push_at, which folds the chart's
+    1s and 0s into the push.
     """
     if s >= 0:
         wx, wy = s, zero
@@ -90,6 +94,41 @@ def _chart(s, mu, zero, one):
     if mu >= 0:
         return one, one - mu, wx, wy
     return one + mu, one, wx, wy
+
+
+def _push_at(label_vec, s, mu) -> list:
+    """_pushes(label_vec, _chart(s, mu, zero, one)), bit for bit.
+
+    On each side of the seams one of kx and ky is 1 and one of wx and
+    wy is 0, so with k = 1 - mu (mu >= 0) or 1 + mu (mu < 0) the push
+    max(kx (ax - wx), ky (ay - wy)) is, with T2 compared first as in
+    _pushes:
+    - s >= 0, mu >= 0: max(k ay, ax - s);
+    - s >= 0, mu < 0: max(ay, k (ax - s));
+    - s < 0, mu >= 0: max(k (ay + s), ax);
+    - s < 0, mu < 0: max(ay + s, k ax).
+    Each form is the chart's term for term, for floats and Fractions
+    alike: 1 x == x (one * x, -0.0 included), x - 0 == x (x - zero, for
+    either zero, as zero is 0 or +0.0 and -0.0 - 0.0 is -0.0) and
+    ay - (-s) == ay + s (IEEE subtraction adds the negation, and
+    -(-s) is s).  The int literal in 1 - mu and 1 + mu gives the value
+    of one - mu and one + mu in mu's type, exactly, so Fractions stay
+    exact and floats meet no int inside the per-label loop.  The sides
+    are picked by s >= 0 and mu >= 0, as _chart picks them, so -0.0
+    takes the side of +0.0.
+    """
+    # max(x, y) written out, T2 first, as in _pushes
+    if s >= 0:
+        if mu >= 0:
+            k = 1 - mu
+            return [y if (y := k * ay) > (x := ax - s) else x for ax, ay in label_vec]
+        k = 1 + mu
+        return [ay if ay > (x := k * (ax - s)) else x for ax, ay in label_vec]
+    if mu >= 0:
+        k = 1 - mu
+        return [y if (y := k * (ay + s)) > ax else ax for ax, ay in label_vec]
+    k = 1 + mu
+    return [y if (y := ay + s) > (x := k * ax) else x for ax, ay in label_vec]
 
 
 def line_of_param(q: LineParam) -> Line:
@@ -166,13 +205,12 @@ def _deviations(label_vec, boxes) -> list:
     {sl, sh} x mu-cuts.
     """
     zero = type(boxes[0][0])(0)
-    one = zero + 1
     pushed = {}
 
     def at(s, mu):
         vec = pushed.get((s, mu))
         if vec is None:
-            vec = pushed[s, mu] = _pushes(label_vec, _chart(s, mu, zero, one))
+            vec = pushed[s, mu] = _push_at(label_vec, s, mu)
         return vec
 
     out = []
@@ -333,13 +371,13 @@ def _split_bounds(M: _ModuleData, N: _ModuleData, box: tuple,
     near_s, far_s = (sl, sh) if sl >= 0.0 else (sh, sl)
     near_m, far_m = (ml, mh) if ml >= 0.0 else (mh, ml)
     label_vec = M.labels + N.labels
-    nn = _pushes(label_vec, _chart(near_s, near_m, 0.0, 1.0))
-    ff = _pushes(label_vec, _chart(far_s, far_m, 0.0, 1.0))
+    nn = _push_at(label_vec, near_s, near_m)
+    ff = _push_at(label_vec, far_s, far_m)
     # (hi, lo) corner pushes of the near child, then of the far child
-    s_ends = [(nn, _pushes(label_vec, _chart(cs, far_m, 0.0, 1.0))),
-              (_pushes(label_vec, _chart(cs, near_m, 0.0, 1.0)), ff)]
-    m_ends = [(nn, _pushes(label_vec, _chart(far_s, cm, 0.0, 1.0))),
-              (_pushes(label_vec, _chart(near_s, cm, 0.0, 1.0)), ff)]
+    s_ends = [(nn, _push_at(label_vec, cs, far_m)),
+              (_push_at(label_vec, cs, near_m), ff)]
+    m_ends = [(nn, _push_at(label_vec, far_s, cm)),
+              (_push_at(label_vec, near_s, cm), ff)]
     if sl < 0.0:
         s_ends.reverse()
     if ml < 0.0:
@@ -349,7 +387,7 @@ def _split_bounds(M: _ModuleData, N: _ModuleData, box: tuple,
     for s, mu, (hi, lo) in zip(((sl + cs) / 2, (cs + sh) / 2, cs, cs),
                                (cm, cm, (ml + cm) / 2, (cm + mh) / 2),
                                s_ends + m_ends):
-        center = _pushes(label_vec, _chart(s, mu, 0.0, 1.0))
+        center = _push_at(label_vec, s, mu)
         devs = [x if (x := a - c) > (y := c - d) else y + 0.0
                 for c, a, d in zip(center, hi, lo)]
         out.append((center, _lp(devs[:k], pf) + _lp(devs[k:], pf)))

@@ -23,10 +23,13 @@ by shortest augmenting paths.  For p = inf, bottleneck_assignment
 searches the candidate costs instead, and keeps its ghosts: each
 probed threshold is feasible when a graph with one ghost per bar, each
 bar reaching only its own ghost, has a perfect matching, found by
-rounds of augmenting-path searches.  It probes the floor (the max over
-bars of each bar's cheapest option, the least cost that can be
-feasible) first, and bisects over the costs above it only when that
-probe fails; a line with bars on one side only needs no probe.
+rounds of augmenting-path searches.  It starts at the floor (the max
+over bars of each bar's cheapest option, the least cost that can be
+feasible).  A floor that covers every diagonal cost is the answer and
+needs no graph: the greedy pairs at it are a perfect matching.
+Otherwise it probes the floor first, and bisects over the costs above
+it only when that probe fails; a line with bars on one side only
+needs no probe.
 
 bar_distance holds these steps once for any number type and returns
 the aggregate: the sum of p-th powers, or the max at p = inf.  The
@@ -275,19 +278,35 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
     and each unmatched C-bar k to left ghost m + k; the |sigma| ghosts
     left on each side pair up freely.
 
-    The search probes the floor first.  Every bar is matched or sent to
+    The search starts at the floor.  Every bar is matched or sent to
     the diagonal, so no threshold below any bar's cheapest option is
     feasible: floor, the max over bars of each bar's least cost (its
     row or column minimum and its diagonal cost), is the least candidate
-    that can be feasible, and is itself a given cost.  When the floor
-    probe succeeds, floor is the answer and that probe's matching is
-    returned.  Otherwise the answer lies strictly above floor and at
-    most ceil, the largest diagonal cost (sending every bar to the
-    diagonal is always feasible), and a bisection over the sorted
-    distinct costs in (floor, ceil] finds the least feasible one: by
-    monotonicity every candidate below it is infeasible and every one
-    from it on is feasible, so the bisection's last feasible probe is
-    at it, and that probe's matching is returned.  So the value and the
+    that can be feasible, and is itself a given cost.  ceil, the largest
+    diagonal cost, is feasible (send every bar to the diagonal), and
+    floor <= ceil, as each bar's least cost is at most its diagonal
+    cost.
+
+    When floor == ceil the floor covers every diagonal cost and no graph
+    is built: the answer is floor, and the pairs are those of
+    _matching_at's greedy start at floor, each B-bar in index order
+    taking the first still-free C-bar j with pair_cost[i][j] <= floor.
+    That start is already perfect, so the probe would run no augmenting
+    round and return exactly these pairs.  A B-bar that finds no free
+    C-bar falls back on its own ghost, which only it and the left
+    ghosts reach, and the left ghosts come after every B-bar.  Left
+    ghost m + k takes C-bar k if it is free; the ghosts whose C-bar was
+    taken number as many as the B-bars matched to C-bars, whose own
+    ghosts are the free right ghosts, so each finds one.
+
+    Otherwise the floor is probed.  When the probe succeeds, floor is
+    the answer and that probe's matching is returned.  Otherwise the
+    answer lies strictly above floor and at most ceil, and a bisection
+    over the sorted distinct costs in (floor, ceil] finds the least
+    feasible one: by monotonicity every candidate below it is
+    infeasible and every one from it on is feasible, so the bisection's
+    last feasible probe is at it, and that probe's matching is
+    returned.  So the value and the
     pairs are the least feasible cost in [floor, ceil] and
     _matching_at's matching there, whichever thresholds the search
     probed, since a probe's result depends only on its graph and the
@@ -318,9 +337,19 @@ def bottleneck_assignment(pair_cost, diag_left, diag_right):
         return (max(diag_left or diag_right), []) if m or n else (0, [])
     floor = max(max(map(min, map(min, pair_cost), diag_left)),
                 max(map(min, map(min, zip(*pair_cost)), diag_right)))
+    ceil = max(max(diag_left), max(diag_right))
+    if floor == ceil:
+        # _matching_at's greedy start, which is perfect here
+        free, pairs = [True] * n, []
+        for i, row in enumerate(pair_cost):
+            for j, c in enumerate(row):
+                if c <= floor and free[j]:
+                    free[j] = False
+                    pairs.append((i, j))
+                    break
+        return floor, pairs
     value, ml = floor, _matching_at(pair_cost, diag_left, diag_right, floor)
     if ml is None:
-        ceil = max(max(diag_left), max(diag_right))
         candidates = sorted({c for c in chain(diag_left, diag_right, *pair_cost)
                              if floor < c <= ceil})
         lo, hi = 0, len(candidates) - 1
@@ -464,13 +493,15 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     The aggregate sums the matched pairs' and unmatched bars' original
     costs, each c times its unscaled value, in the same order.
     bottleneck_assignment only compares costs and picks one of them.
-    Its floor, a max of mins of costs, scales by c, so the floor probe
-    sees the same graph; the candidates above the floor, being sorted
-    and deduplicated, keep their order and length, so its bisection
-    probes the same positions and its searches see the same graphs.  A
-    one-sided line returns its largest diagonal cost, which scales by c
-    too.  The aggregate is therefore c times
-    the unscaled one, and dividing by c recovers it exactly.  A
+    Its floor and ceil, a max of mins of costs and a max of costs,
+    scale by c, so floor == ceil holds on both scales or on neither,
+    the greedy pairs compare the same costs with the same floor, and
+    the floor probe sees the same graph; the candidates above the
+    floor, being sorted and deduplicated, keep their order and length,
+    so its bisection probes the same positions and its searches see the
+    same graphs.  A one-sided line returns its largest diagonal cost,
+    which scales by c too.  The aggregate is therefore c times the
+    unscaled one, and dividing by c recovers it exactly.  A
     non-integral p has float costs either way and keeps the Fraction
     inputs.
 

@@ -299,3 +299,27 @@ def test_bad_eps_and_max_depth_are_usage_errors(files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error") and flags[-2] in err, (command, flags)
     assert main(["matchdist", "--p", "inf", "--eps", "0.1", "--max-depth", "0"] + pair) == 3
+
+
+def test_bad_counts_are_usage_errors(files, capsys):
+    # each count flag is an integer with a least value: --rows at least 1,
+    # --deg, --cols, --vertices and --bars at least 0.  Anything else is
+    # a bad flag (exit 1, naming it), not randrange's message, a data
+    # error or an empty fixture; the least values themselves stay valid
+    for command, flag, bad in ((["homology", files["x.cwf"]], "--deg", "-1"),
+                               (["gen", "presentation"], "--rows", "0"),
+                               (["gen", "presentation"], "--rows", "-1"),
+                               (["gen", "pair"], "--cols", "-1"),
+                               (["gen", "barcode"], "--bars", "-1"),
+                               (["gen", "complex"], "--vertices", "-2"),
+                               (["gen", "complex"], "--vertices", "2.5")):
+        assert main(command + [flag, bad]) == 1, (flag, bad)
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and flag in err, (flag, bad, err)
+    for command, flag, least in ((["homology", files["x.cwf"]], "--deg", "0"),
+                                 (["gen", "presentation"], "--rows", "1"),
+                                 (["gen", "pair"], "--cols", "0"),
+                                 (["gen", "barcode"], "--bars", "0"),
+                                 (["gen", "complex"], "--vertices", "0")):
+        assert main(command + [flag, least]) == 0, (flag, least)
+        capsys.readouterr()

@@ -15,7 +15,8 @@ from mpm import matchdist
 from mpm.field import PrimeField
 from mpm.lines import _pushes
 from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _deviations,
-                           _line_value, _lp, _split_bounds, label_deviation)
+                           _line_value, _lp, _push_at, _split_bounds,
+                           label_deviation)
 from mpm.presentation import Presentation, labels
 
 from oracles import box_sample_max_power
@@ -189,6 +190,37 @@ def _full_grid_scan(label_vec, box):
     return center, [max(abs(g[i] - c) for g in grid) for i, c in enumerate(center)]
 
 
+def test_push_at_equals_chart_push_bit_for_bit():
+    # _push_at folds the chart's 1s and 0s into the push: it must equal
+    # lines._pushes on _chart hex for hex on floats (labels of either
+    # sign and zero, s and mu at +-0.0, |mu| = 1, every quadrant, dyadic
+    # points down to 40 splits deep) and exactly on Fractions
+    rng = random.Random(2027)
+    C = 7.5
+    hexed = lambda xs: [x.hex() for x in xs]
+    coord = lambda: rng.choice((1.0, -1.0)) * rng.choice(
+        (0.0, float(rng.randrange(9)) / 2, rng.random() * C))
+    label_vec = [(coord(), coord()) for _ in range(60)]
+    label_vec += [(x, y) for x in (0.0, -0.0, 1.0) for y in (0.0, -0.0, -1.0)]
+    points = [(s, mu) for s in (0.0, -0.0, C, -C, 1.25, -1.25)
+              for mu in (0.0, -0.0, 1.0, -1.0, 0.375, -0.375)]
+    for _ in range(600):
+        depth = rng.randint(1, 40)
+        points.append((rng.randint(-2 ** depth, 2 ** depth) * C / 2 ** depth,
+                       rng.randint(-2 ** depth, 2 ** depth) / 2 ** depth))
+    assert {(s >= 0, mu >= 0) for s, mu in points} == {(a, b) for a in (0, 1) for b in (0, 1)}
+    for s, mu in points:
+        want = _pushes(label_vec, _chart(s, mu, 0.0, 1.0))
+        assert hexed(_push_at(label_vec, s, mu)) == hexed(want), (s, mu)
+    frac = lambda: F(rng.randint(-40, 40), rng.randint(1, 12))
+    exact_vec = [(frac(), frac()) for _ in range(30)]
+    for s, mu in [(F(0), F(0)), (F(3), F(1)), (F(-3), F(-1))] + [
+            (frac(), F(rng.randint(-16, 16), 16)) for _ in range(200)]:
+        got = _push_at(exact_vec, s, mu)
+        assert got == _pushes(exact_vec, _chart(s, mu, F(0), F(1)))
+        assert all(type(x) is F for x in got)
+
+
 def test_box_deviations_match_full_grid():
     # the box deviation reads each label's extremes off two corners per
     # s-edge on boxes off the seams and scans the grid on seam boxes; both
@@ -308,9 +340,9 @@ def test_off_seam_splits_push_ten_chart_points(monkeypatch):
     count = [0]
     marks, seam_batches = [], []
 
-    def pushes_spy(label_vec, chart):
+    def push_at_spy(label_vec, s, mu):
         count[0] += 1
-        return _pushes(label_vec, chart)
+        return _push_at(label_vec, s, mu)
 
     def line_value_spy(M, N, pushes, p):
         marks.append(count[0])
@@ -325,7 +357,7 @@ def test_off_seam_splits_push_ten_chart_points(monkeypatch):
                    for a in M.labels + N.labels for x in a)
         return _split_bounds(M, N, box, pf)
 
-    monkeypatch.setattr(matchdist, "_pushes", pushes_spy)
+    monkeypatch.setattr(matchdist, "_push_at", push_at_spy)
     monkeypatch.setattr(matchdist, "_line_value", line_value_spy)
     monkeypatch.setattr(matchdist, "_deviations", deviations_spy)
     monkeypatch.setattr(matchdist, "_split_bounds", kernel_spy)

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -193,29 +194,78 @@ def _probe_spy(monkeypatch):
 
 def test_bottleneck_probes_the_floor_first(monkeypatch):
     # a line with bars on one side only needs no probe: every bar goes to
-    # the diagonal.  Otherwise the first probe is the floor, the max over
-    # bars of each bar's cheapest option, and when the floor is the
+    # the diagonal.  Nor does a floor (the max over bars of each bar's
+    # cheapest option) that covers every diagonal cost: it is the answer.
+    # Otherwise the first probe is the floor, and when the floor is the
     # answer it is the only probe
     probes = _probe_spy(monkeypatch)
     for *inputs, want in (([], [], [], (0, [])),
                           ([[], []], [1, 3], [], (3, [])),
-                          ([], [], [0.5, 1.5], (1.5, []))):
+                          ([], [], [0.5, 1.5], (1.5, [])),
+                          ([[4, 3]], [3], [1, 2], (3, [(0, 1)]))):
         probes.clear()
         assert bottleneck_assignment(*inputs) == want and probes == []
     rng = random.Random(887)
+    kinds = Counter()
     for _ in range(300):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         B, C = ([(b, b + rng.randint(1, 3)) for b in
                  (rng.randrange(3) for _ in range(k))] for k in (m, n))
         pair_cost, diag_l, diag_r = _bottleneck_inputs(B, C)
-        floor = max([min([d, *row]) for row, d in zip(pair_cost, diag_l)]
-                    + [min([d, *(row[j] for row in pair_cost)])
-                       for j, d in enumerate(diag_r)])
+        floor = _floor(pair_cost, diag_l, diag_r)
         probes.clear()
         value, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
         assert _realized(pair_cost, diag_l, diag_r, pairs) == value
-        assert probes[0] == floor
-        assert (value == floor) == (probes == [floor])
+        if floor == max(diag_l + diag_r):
+            assert value == floor and probes == []
+            kinds["no graph"] += 1
+        else:
+            assert probes[0] == floor
+            assert (value == floor) == (probes == [floor])
+            kinds["floor only" if value == floor else "bisected"] += 1
+    assert min(kinds.values()) > 20 and len(kinds) == 3, kinds
+
+
+def _floor(pair_cost, diag_l, diag_r):
+    """The max over bars of each bar's least cost."""
+    return max([min([d, *row]) for row, d in zip(pair_cost, diag_l)]
+               + [min([d, *(row[j] for row in pair_cost)])
+                  for j, d in enumerate(diag_r)])
+
+
+def test_bottleneck_shortcut_pairs_are_the_floor_probes(monkeypatch):
+    # when the floor covers every diagonal cost the search builds no
+    # graph; its value and pairs must be those the floor probe
+    # (_matching_at) gives, on ints and on floats with many ties
+    probes = _probe_spy(monkeypatch)
+    rng = random.Random(3301)
+    hits = 0
+    for trial in range(4000):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        cost = (lambda: rng.randrange(7)) if trial % 2 else (lambda: rng.randrange(7) / 4)
+        pair_cost = [[cost() for _ in range(n)] for _ in range(m)]
+        diag_l, diag_r = [cost() for _ in range(m)], [cost() for _ in range(n)]
+        # make one bar's least cost the largest diagonal cost
+        top = max(diag_l + diag_r)
+        if rng.random() < 0.5:
+            i = rng.randrange(m)
+            diag_l[i] = top
+            pair_cost[i] = [max(c, top) for c in pair_cost[i]]
+        else:
+            j = rng.randrange(n)
+            diag_r[j] = top
+            for row in pair_cost:
+                row[j] = max(row[j], top)
+        floor = _floor(pair_cost, diag_l, diag_r)
+        assert floor == top
+        probes.clear()
+        value, pairs = bottleneck_assignment(pair_cost, diag_l, diag_r)
+        assert probes == []
+        ml = W._matching_at(pair_cost, diag_l, diag_r, floor)
+        assert value == floor and type(value) is type(floor)
+        assert pairs == [(i, ml[i]) for i in range(m) if ml[i] < n]
+        hits += bool(pairs)
+    assert hits > 1000
 
 
 def test_bottleneck_floor_infeasible_falls_back(monkeypatch):
