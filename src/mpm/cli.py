@@ -20,7 +20,7 @@ from .barcode import parse_barcode, serialize_barcode
 from .cellular import (homology_presentation, lift_presentations,
                        parse_complex, serialize_complex)
 from .errors import ComputationError, DataError, SubdivisionLimitError
-from .field import PrimeField
+from .field import PrimeField, is_prime
 from .fixtures import (random_barcode, random_monotone_complex,
                        random_paired_presentations, random_presentation)
 from .fpm import parse_presentation, serialize_presentation
@@ -106,6 +106,17 @@ def _eps(text: str) -> Fraction:
     return eps
 
 
+def _prime(text: str) -> int:
+    """--field: a prime field order."""
+    try:
+        q = int(text)
+    except ValueError:
+        q = 0
+    if not is_prime(q):
+        raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
+    return q
+
+
 def _int_at_least(least: int):
     """The argparse type of a count flag: an integer >= least."""
     def count(text: str) -> int:
@@ -189,8 +200,8 @@ def build_parser() -> _Parser:
     g = subs.add_parser("gen", help="generate random test fixtures")
     g.add_argument("kind", choices=["presentation", "pair", "complex", "barcode"])
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--params", type=int, default=2)
-    g.add_argument("--field", type=int, default=2)
+    g.add_argument("--params", type=int, choices=(1, 2), default=2)
+    g.add_argument("--field", type=_prime, default=2)
     g.add_argument("--rows", type=_int_at_least(1), default=4)
     g.add_argument("--cols", type=_int_at_least(0), default=4)
     g.add_argument("--vertices", type=_int_at_least(0), default=8)

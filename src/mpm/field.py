@@ -5,6 +5,16 @@ index to a nonzero residue.  :class:`ColumnEchelon` is the one
 elimination engine used for ranks, kernel bases (cellular) and the
 1-parameter pivot pairing behind barcodes and the graded normal form
 (onepar).
+
+ColumnEchelon stores its columns in one of two forms, chosen by the
+field alone.  Over F_q with q > 2 a column is such a dict, and one
+reduction step scales the pivot entry by an inverse and updates the
+column entry by entry.  Over F_2 every nonzero entry is 1, so a column
+is all in its support: it is kept as a Python int bitset (bit r set
+for row r), its pivot is ``bit_length() - 1``, and one reduction step
+is one XOR.  This is the column representation of F_2 persistence
+engines such as PHAT and mpfree, and the default field of this package
+is F_2.
 """
 from __future__ import annotations
 
@@ -76,6 +86,32 @@ def col_axpy(dst: SparseCol, factor: int, src: SparseCol, q: int) -> SparseCol:
     return dst
 
 
+def _bits_of(col) -> int:
+    """The F_2 bitset of a column given as a dict or as (row, value) pairs.
+
+    Bit r is set for every row r listed; values are taken to be nonzero
+    residues, as every column of this package is, hence 1 over F_2.
+    """
+    bits = 0
+    if isinstance(col, dict):
+        for r in col:
+            bits |= 1 << r
+    else:
+        for r, _ in col:
+            bits |= 1 << r
+    return bits
+
+
+def _col_of(bits: int) -> SparseCol:
+    """The dict column {r: 1} of an F_2 bitset, rows in descending order."""
+    col = {}
+    while bits:
+        r = bits.bit_length() - 1
+        col[r] = 1
+        bits ^= 1 << r
+    return col
+
+
 class ColumnEchelon:
     """Incremental column echelon form; a tag on an insert tracks it.
 
@@ -85,11 +121,22 @@ class ColumnEchelon:
     and :meth:`reduce` sums expressions only from entries that have one,
     so with tags on every insert its combo gives exact coordinates.
     Columns go in as dicts or as (row, value) pairs: reduce copies them.
+
+    The representation follows the field, with no other switch.  Over
+    F_q, q > 2, an entry is a dict column with a dict expression (None
+    when untagged).  Over F_2 an entry is an int bitset of rows (see
+    _bits_of) with an int bitset of tags as its expression (0 when
+    untagged), so a reduction step is ``res ^= column`` and ``combo ^=
+    expression``, with no inverse and no per-entry update; rows and
+    tags must then be nonnegative.  Both forms return the same dicts
+    (over F_2 every value is 1).  Callers that hold bitsets already
+    may call _reduce_bits and _insert_bits on an F_2 echelon and skip the
+    dicts altogether.
     """
 
     def __init__(self, field: PrimeField):
         self.field = field
-        self._table: dict[int, tuple[SparseCol, Optional[SparseCol]]] = {}
+        self._table: dict[int, tuple] = {}  # pivot row -> (column, expression)
         self.rank = 0
 
     def reduce(self, col: SparseCol) -> tuple[SparseCol, SparseCol]:
@@ -99,6 +146,9 @@ class ColumnEchelon:
         ``residual = col - sum(combo[tag] * original_tag)`` over F_q.
         combo is empty when no insert had a tag.
         """
+        if self.field.q == 2:
+            res, combo = self._reduce_bits(_bits_of(col))
+            return _col_of(res), _col_of(combo)
         q = self.field.q
         res = dict(col)
         combo: SparseCol = {}
@@ -125,6 +175,9 @@ class ColumnEchelon:
         Returns the (residual, combo) pair of :meth:`reduce`; an empty
         residual means col was already in the span.
         """
+        if self.field.q == 2:
+            res, combo = self._insert_bits(_bits_of(col), tag)
+            return _col_of(res), _col_of(combo)
         res, combo = self.reduce(col)
         if res:
             expr = None
@@ -137,6 +190,31 @@ class ColumnEchelon:
                     else:
                         expr.pop(t, None)
             self._table[max(res)] = (res, expr)
+            self.rank += 1
+        return res, combo
+
+    def _reduce_bits(self, res: int) -> tuple[int, int]:
+        """reduce over F_2 on bitsets: (residual, combo) as ints."""
+        table = self._table
+        combo = 0
+        while res:
+            entry = table.get(res.bit_length() - 1)
+            if entry is None:
+                break
+            res ^= entry[0]
+            combo ^= entry[1]
+        return res, combo
+
+    def _insert_bits(self, col: int, tag: Optional[int] = None) -> tuple[int, int]:
+        """insert over F_2 on bitsets: (residual, combo) as ints.
+
+        The new entry's expression is its tag minus combo, which over
+        F_2 is the tag's bit XOR combo.
+        """
+        res, combo = self._reduce_bits(col)
+        if res:
+            self._table[res.bit_length() - 1] = (
+                res, 0 if tag is None else combo ^ (1 << tag))
             self.rank += 1
         return res, combo
 

@@ -30,7 +30,9 @@ Grade = tuple[Fraction, ...]
 
 
 def is_inf(x) -> bool:
-    return x == INF
+    """x is +inf.  Only a float can be: an int or a Fraction never is,
+    so those skip the comparison."""
+    return isinstance(x, float) and x == INF
 
 
 def rat(x) -> Fraction:

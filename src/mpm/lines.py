@@ -130,7 +130,8 @@ def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     stable sorts give the same row and column orders, hence the same
     memo keys and pivot pairing, and its birth < death test keeps the
     same pairs.  Dividing each returned endpoint by s gives back the
-    Fraction bars, equal in value, order and type.
+    Fraction bars, equal in value, order and type.  They keep birth <
+    death, so the Barcode takes them without checking each bar again.
     """
     if P.n_params != 2:
         raise DataError("restriction applies to 2-parameter presentations")
@@ -150,8 +151,9 @@ def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     bars, essential = barcode_pairs(pushed[:P.n_rows], pushed[P.n_rows:],
                                     P.column_dicts(), P.field)
     s = L * d
-    return Barcode([(Fraction(b, s), Fraction(e, s)) for b, e in bars]
-                   + [(Fraction(b, s), INF) for b in essential])
+    return Barcode._of_valid_bars(
+        tuple([(Fraction(b, s), Fraction(e, s)) for b, e in bars]
+              + [(Fraction(b, s), INF) for b in essential]))
 
 
 def parse_line(text: str) -> AdmissibleLine:

@@ -32,11 +32,21 @@ def _pivot_pairing(row_order: Sequence[int], col_order: Sequence[int],
 
     Rows are renumbered by their rank in row_order and the columns are
     inserted into a ColumnEchelon in col_order.  Returns {row rank:
-    (column rank, pivot coefficient)} in pivot order.
+    (column rank, pivot coefficient)} in pivot order.  Over F_2 the
+    columns go in as bitsets of row ranks, and every coefficient is 1.
     """
     row_rank = {orig: rank for rank, orig in enumerate(row_order)}
     echelon = ColumnEchelon(field)
     pivots = {}
+    if field.q == 2:
+        for rank, j in enumerate(col_order):
+            bits = 0
+            for r in columns[j]:
+                bits |= 1 << row_rank[r]
+            res, _ = echelon._insert_bits(bits)
+            if res:
+                pivots[res.bit_length() - 1] = (rank, 1)
+        return pivots
     for rank, j in enumerate(col_order):
         res, _ = echelon.insert({row_rank[r]: v for r, v in columns[j].items()})
         if res:

@@ -19,6 +19,7 @@ from .field import column_rank
 from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
                      vec_pnorm, vec_pnorm_power)
 from .matchdist import DistanceReport, approx_matching_distance
+from .onepar import barcode_of
 from .presentation import Presentation, hilbert_dim, labels
 
 
@@ -202,24 +203,55 @@ def _hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
 
 def modules_agree(P: Presentation, Q: Presentation) -> bool:
     """Hilbert-function spot check for equality of the presented modules,
-    on _hilbert_spot_grid(P, Q)."""
+    on _hilbert_spot_grid(P, Q).
+
+    Only a necessary condition: non-isomorphic modules can have equal
+    Hilbert functions, so chain_upper_bound does not rely on it.
+    """
     if P.n_params != Q.n_params:
         return False
     return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in _hilbert_spot_grid(P, Q))
+
+
+def _same_module(P: Presentation, Q: Presentation) -> bool:
+    """True only when P and Q provably present isomorphic modules.
+
+    Three cases are decided, each exactly:
+
+    (a) P == Q.
+    (b) Every label of both is one grade g: each presents the free
+        module at g of rank rows - rank (as in _uniform_borrow), so
+        equal ranks mean isomorphic modules.
+    (c) Both are 1-parameter: the barcode is a complete invariant.
+
+    Any other pair is undecided and gives False.
+    """
+    if P.field != Q.field or P.n_params != Q.n_params:
+        return False
+    if P == Q:
+        return True
+    if P.n_params == 1:
+        return barcode_of(P) == barcode_of(Q)
+    pool = labels(P) + labels(Q)
+    return (all(g == pool[0] for g in pool)
+            and P.n_rows - column_rank(P.columns, P.field)
+            == Q.n_rows - column_rank(Q.columns, Q.field))
 
 
 def chain_upper_bound(chain: Sequence[PairedPresentations], p: PExp) -> Extended:
     """Sum of label distances along a chain of same-matrix pairs.
 
     Valid upper bound for the presentation distance between the chain
-    endpoints; adjacent links must present the same module (verified by
-    Hilbert-function spot checks).
+    endpoints when adjacent links present the same module.  A junction
+    is accepted only when _same_module proves it; any other raises
+    ChainError, since equal Hilbert functions, say, do not make two
+    modules isomorphic.
     """
     p = as_pexp(p)
     total: Extended = Fraction(0)
     for a, b in zip(chain, chain[1:]):
-        if not modules_agree(a.second, b.first):
-            raise ChainError("adjacent chain links do not present the same module")
+        if not _same_module(a.second, b.first):
+            raise ChainError("adjacent chain links are not shown to present the same module")
     for link in chain:
         total = total + label_distance(link, p)
     return total

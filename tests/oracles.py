@@ -1,7 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive: dense row reduction over F_q,
-dense nullspace dimensions, brute-force sampling of line charts in
+dense nullspace dimensions, a dict column echelon over every F_q (the
+reference that field.ColumnEchelon must match step for step, on the
+F_2 bitsets too), brute-force sampling of line charts in
 scaled integer arithmetic, and an exhaustive search over all matchings
 of two barcodes.  None of it shares code with the package's
 sparse/echelon machinery or its assignment solvers, and it imports no
@@ -83,6 +85,55 @@ def dense_rank_at(domain_grades, columns, n_rows: int, q: int, g) -> int:
     """Rank of the matrix restricted to columns active at g."""
     active = [j for j in range(len(domain_grades)) if grade_leq(domain_grades[j], g)]
     return len(active) - dense_nullity_at(domain_grades, columns, n_rows, q, g)
+
+
+def _nonzero(col: dict[int, int], q: int) -> dict[int, int]:
+    return {r: v % q for r, v in col.items() if v % q}
+
+
+class ReferenceEchelon:
+    """Column echelon on dicts over F_q, with no special case for q = 2.
+
+    The pivot of a column is its largest row; reduce subtracts the
+    multiple of the entry at the pivot that clears it, and adds that
+    multiple of the entry's expression to the combo.  An inserted
+    residual's expression is its tag minus the combo.  Entries are kept
+    in insertion order, and truncate(n) keeps the first n.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+        self.entries: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.entries)
+
+    def reduce(self, col) -> tuple[dict[int, int], dict[int, int]]:
+        q = self.q
+        res, combo = _nonzero(dict(col), q), {}
+        while res and (piv := max(res)) in self.entries:
+            ecol, expr = self.entries[piv]
+            f = res[piv] * pow(ecol[piv], -1, q)
+            for r, v in ecol.items():
+                res[r] = res.get(r, 0) - f * v
+            for t, v in expr.items():
+                combo[t] = combo.get(t, 0) + f * v
+            res, combo = _nonzero(res, q), _nonzero(combo, q)
+        return res, combo
+
+    def insert(self, col, tag=None) -> tuple[dict[int, int], dict[int, int]]:
+        res, combo = self.reduce(col)
+        if res:
+            expr = {}
+            if tag is not None:
+                expr = {t: -v for t, v in combo.items()}
+                expr[tag] = expr.get(tag, 0) + 1
+            self.entries[max(res)] = (res, _nonzero(expr, self.q))
+        return res, combo
+
+    def truncate(self, n: int) -> None:
+        self.entries = dict(list(self.entries.items())[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,9 @@ def test_kernel_sweeps_resume_from_their_unchanged_prefix(monkeypatch):
     ys = sorted({g[1] for g in dg})
     start = {y: min(pos[i] for i in pos if dg[i][1] == y) for y in ys}
     inserted, joined = [], []
-    insert, support_grade = ColumnEchelon.insert, C._support_grade
+    # over F_2 the sweep inserts bitsets: _insert_bits sees every insert
+    assert gamma.field.q == 2
+    insert, support_grade = ColumnEchelon._insert_bits, C._support_grade
 
     def spy_insert(self, col, tag=None):
         inserted.append(tag)
@@ -151,10 +153,10 @@ def test_kernel_sweeps_resume_from_their_unchanged_prefix(monkeypatch):
         joined.extend(c for i in vec for c in grades[i])
         return support_grade(vec, grades)
 
-    monkeypatch.setattr(ColumnEchelon, "insert", spy_insert)
+    monkeypatch.setattr(ColumnEchelon, "_insert_bits", spy_insert)
     monkeypatch.setattr(C, "_support_grade", spy_support_grade)
     K = kernel_basis(gamma)
-    assert len(ys) > 1 and len(K) > 0
+    assert len(ys) > 1 and len(K) > 0 and inserted
     for i in pos:
         # at most once per sweep that holds i at or after its first new column
         assert inserted.count(i) <= sum(dg[i][1] <= y and pos[i] >= start[y] for y in ys)

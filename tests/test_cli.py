@@ -305,14 +305,20 @@ def test_bad_counts_are_usage_errors(files, capsys):
     # each count flag is an integer with a least value: --rows at least 1,
     # --deg, --cols, --vertices and --bars at least 0.  Anything else is
     # a bad flag (exit 1, naming it), not randrange's message, a data
-    # error or an empty fixture; the least values themselves stay valid
+    # error or an empty fixture; the least values themselves stay valid.
+    # gen's --params is 1 or 2 and its --field a prime, checked alike
     for command, flag, bad in ((["homology", files["x.cwf"]], "--deg", "-1"),
                                (["gen", "presentation"], "--rows", "0"),
                                (["gen", "presentation"], "--rows", "-1"),
                                (["gen", "pair"], "--cols", "-1"),
                                (["gen", "barcode"], "--bars", "-1"),
                                (["gen", "complex"], "--vertices", "-2"),
-                               (["gen", "complex"], "--vertices", "2.5")):
+                               (["gen", "complex"], "--vertices", "2.5"),
+                               (["gen", "presentation"], "--params", "0"),
+                               (["gen", "complex"], "--params", "3"),
+                               (["gen", "presentation"], "--field", "4"),
+                               (["gen", "pair"], "--field", "1"),
+                               (["gen", "complex"], "--field", "two")):
         assert main(command + [flag, bad]) == 1, (flag, bad)
         err = capsys.readouterr().err
         assert err.startswith("usage error") and flag in err, (flag, bad, err)
@@ -320,6 +326,8 @@ def test_bad_counts_are_usage_errors(files, capsys):
                                  (["gen", "presentation"], "--rows", "1"),
                                  (["gen", "pair"], "--cols", "0"),
                                  (["gen", "barcode"], "--bars", "0"),
-                                 (["gen", "complex"], "--vertices", "0")):
+                                 (["gen", "complex"], "--vertices", "0"),
+                                 (["gen", "presentation"], "--params", "1"),
+                                 (["gen", "complex"], "--field", "3")):
         assert main(command + [flag, least]) == 0, (flag, least)
         capsys.readouterr()

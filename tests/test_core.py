@@ -27,7 +27,7 @@ from mpm.fixtures import random_barcode, random_paired_presentations, random_pre
 from mpm.grades import format_rat, is_inf, lp_root, pth_root
 from mpm.wasserstein import bar_distance
 
-from oracles import dense_hilbert, dense_rank
+from oracles import ReferenceEchelon, dense_hilbert, dense_rank
 
 FPM_F = """\
 fpm 1
@@ -143,6 +143,16 @@ def test_lp_root():
         for p in (F(1), F(2), F(3, 2), math.inf):
             agg, _ = bar_distance(*lists, p, F(0))
             assert lp_root(agg, p) == wasserstein(B, C, p), (B, C, p)
+
+
+def test_is_inf_is_true_only_for_float_plus_infinity():
+    class Big(float):
+        pass
+
+    for x in (math.inf, float("inf"), Big("inf")):
+        assert is_inf(x), x
+    for x in (-math.inf, math.nan, 1e308, 0, 10**400, F(0), F(10**400, 3)):
+        assert not is_inf(x), x
 
 
 def test_grade_order_is_product_order():
@@ -275,6 +285,44 @@ def test_column_echelon_reduce_roundtrip():
     assert res and rebuilt(combo, res) == outside
     assert plain.reduce(target) == ({}, {})
     assert plain.reduce(outside)[1] == {}
+
+
+def test_column_echelon_matches_the_dict_reference():
+    # over F_2 the echelon runs on int bitsets, over F_3 and F_5 on dicts;
+    # both must give the reference's residuals, combos and rank at every
+    # insert, reduce and truncate, with columns as dicts or as pairs
+    rng = random.Random(29)
+    for trial in range(120):
+        q = (2, 2, 3, 5)[trial % 4]
+        n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 60)
+        density = rng.choice((0.05, 0.15, 0.4))
+        tagged = trial % 3 != 0
+
+        def column():
+            col = {r: rng.randrange(1, q) for r in range(n_rows) if rng.random() < density}
+            if rng.random() < 0.5:
+                return col
+            pairs = list(col.items())
+            rng.shuffle(pairs)
+            return pairs
+
+        ech, ref = ColumnEchelon(PrimeField(q)), ReferenceEchelon(q)
+        for j in range(n_cols):
+            if rng.random() < 0.1:
+                n = rng.randint(0, ech.rank)
+                ech.truncate(n)
+                ref.truncate(n)
+            col = column()
+            tag = j if tagged else None
+            assert ech.insert(col, tag) == ref.insert(col, tag), (trial, j)
+            assert ech.rank == ref.rank
+            target = column()
+            assert ech.reduce(target) == ref.reduce(target), (trial, j)
+        cols = [column() for _ in range(n_cols)]
+        plain = ReferenceEchelon(q)
+        for col in cols:
+            plain.insert(col)
+        assert column_rank(cols, PrimeField(q)) == plain.rank
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

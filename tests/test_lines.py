@@ -165,6 +165,31 @@ def test_barcode_along_line_pairs_int_pushes(monkeypatch, pres_f, h1_f):
     assert all(type(x) is int for values in seen for x in values)
 
 
+def test_barcode_along_line_bars_skip_the_public_checks(monkeypatch, pres_f, h1_f):
+    # barcode_pairs returns birth < death, so the bars are not re-checked;
+    # they are the ones the checked constructor builds, of the same types
+    checked = []
+    original = Barcode.__init__
+
+    def spy(self, bars=()):
+        checked.append(bars)
+        original(self, bars)
+
+    P = _relabel(random.Random(5), h1_f)
+    lines = (AdmissibleLine((1, F(7, 3)), (F(1, 3), F(-2, 7))),
+             LimitLine(0, (F(-1, 3), F(2, 7))), AdmissibleLine((1, 1), (0, 0)))
+    want = [Barcode(barcode_along_line(Q, line).bars) for Q in (pres_f, P) for line in lines]
+    monkeypatch.setattr(Barcode, "__init__", spy)
+    got = [barcode_along_line(Q, line) for Q in (pres_f, P) for line in lines]
+    assert checked == []
+    assert [bc.bars for bc in got] == [bc.bars for bc in want]
+    for bc in got:
+        for b, d in bc:
+            assert type(b) is F and (d is INF or type(d) is F) and b < d
+    with pytest.raises(DataError):
+        Barcode([(1, 1)])
+
+
 def test_barcode_along_line_builds_no_presentation(monkeypatch, pres_f, pres_g):
     built = []
     original = Presentation.__post_init__

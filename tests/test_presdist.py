@@ -91,6 +91,37 @@ def test_chain_endpoint_mismatch_detected(triangle_m):
         chain_upper_bound([link1, link2], 1)
 
 
+def test_chain_junction_needs_a_proof_not_equal_hilbert_functions():
+    # A = [0,2) + [1,3) and B = [0,3) + [1,2) have equal Hilbert
+    # functions, so a spot check passes them, but W_1 of their barcodes
+    # is 2: the junction A | B must be refused
+    A = Presentation(F2, 1, ((0,), (1,)), ((2,), (3,)), (((0, 1),), ((1, 1),)))
+    B = Presentation(F2, 1, ((0,), (1,)), ((2,), (3,)), (((1, 1),), ((0, 1),)))
+    assert modules_agree(A, B)
+    with pytest.raises(ChainError):
+        chain_upper_bound([PairedPresentations(A, A), PairedPresentations(B, B)], 1)
+    # 1-parameter junctions with equal barcodes are accepted: B with its
+    # generators swapped, and A with a redundant pair appended
+    B_swapped = B.permuted([1, 0], [0, 1])
+    A_padded = Presentation(F2, 1, ((0,), (1,), (5,)), ((2,), (3,), (5,)),
+                            (((0, 1),), ((1, 1),), ((2, 1),)))
+    assert B_swapped != B and A_padded != A
+    for left, right in ((B, B_swapped), (A, A_padded)):
+        link1, link2 = PairedPresentations(left, left), PairedPresentations(right, right)
+        assert chain_upper_bound([link1, link2], 1) == 0
+    # a uniformly graded junction needs equal rows - rank, and one field
+    R = Presentation(F2, 2, ((0, 0), (0, 0)), ((0, 0),), (((0, 1),),))
+    free2 = Presentation(F2, 2, ((0, 0), (0, 0)), (), ())
+    R5 = Presentation(PrimeField(5), 2, ((0, 0), (0, 0)), ((0, 0),), (((0, 1),),))
+    for other, ok in ((q_free(0, 0), True), (free2, False), (R5, False)):
+        chain = [PairedPresentations(R, R), PairedPresentations(other, other)]
+        if ok:
+            assert chain_upper_bound(chain, 1) == 0
+        else:
+            with pytest.raises(ChainError):
+                chain_upper_bound(chain, 1)
+
+
 def test_chain_trivial_cases(pres_f):
     assert chain_upper_bound([], 1) == 0
     pp = PairedPresentations(pres_f, pres_f)
