@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, _bits_of, _col_of, col_axpy
 from .fpm import _preamble
-from .grades import (Grade, format_grade, grade_leq, join_all, parse_grade,
+from .grades import (Grade, format_grade, grade_leq, grade_parser, join_all,
                      rat, show_grade)
 from .presentation import Column, Presentation, labels
 
@@ -466,6 +466,7 @@ def parse_complex(text: str) -> FilteredComplex:
     """Parse the ``.cwf`` format: header lines then one line per cell,
     ``<id> <dim> <grade...> : <face-id> <coeff> ...``."""
     lines, field, n_params = _preamble(text, "cwf")
+    parse_grade = grade_parser(n_params)
     cells = []
     boundary = {}
     while not lines.done():
@@ -477,7 +478,7 @@ def parse_complex(text: str) -> FilteredComplex:
         cid = toks[0]
         try:
             dim = int(toks[1])
-            grade = parse_grade(toks[2:], n_params)
+            grade = parse_grade(toks[2:])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from exc
         face_toks = tail.split()

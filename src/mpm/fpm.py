@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DataError, ParseError
 from .field import PrimeField
-from .grades import format_grade, parse_grade
+from .grades import format_grade, grade_parser
 from .presentation import Presentation
 
 
@@ -76,6 +76,7 @@ def _preamble(text: str, kind: str) -> tuple[_Lines, PrimeField, int]:
 def parse_presentation(text: str) -> Presentation:
     """Parse an ``.fpm`` document into a validated Presentation."""
     lines, fld, n_params = _preamble(text, "fpm")
+    parse_grade = grade_parser(n_params)
 
     lineno, n_rows = _keyword_int(lines, "rows")
     if n_rows < 0:
@@ -84,7 +85,7 @@ def parse_presentation(text: str) -> Presentation:
     for _ in range(n_rows):
         lineno, line = lines.next("a row label")
         try:
-            row_labels.append(parse_grade(line.split(), n_params))
+            row_labels.append(parse_grade(line.split()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from exc
 
@@ -97,7 +98,7 @@ def parse_presentation(text: str) -> Presentation:
         lineno, line = lines.next("a column line")
         head, _, tail = line.partition(":")
         try:
-            col_labels.append(parse_grade(head.split(), n_params))
+            col_labels.append(parse_grade(head.split()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), lineno) from exc
         toks = tail.split()

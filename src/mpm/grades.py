@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 INF = math.inf
 
@@ -50,7 +50,8 @@ def format_rat(x: Extended) -> str:
     """Exact text form: terminating decimal when possible, else 'a/b'; 'inf'."""
     if is_inf(x):
         return "inf"
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     den = x.denominator
@@ -222,8 +223,12 @@ def vec_pnorm(values: Iterable[Extended], p: PExp) -> Extended:
 # grades
 
 def grade_leq(a: Grade, b: Grade) -> bool:
-    """Product partial order on R^n."""
-    return all(x <= y for x, y in zip(a, b, strict=True))
+    """Product partial order on R^n; ValueError when the lengths differ."""
+    if len(a) == 2 == len(b):
+        return a[0] <= b[0] and a[1] <= b[1]
+    if len(a) != len(b):
+        raise ValueError(f"grades of {len(a)} and {len(b)} coordinates are not comparable")
+    return all(x <= y for x, y in zip(a, b))
 
 
 def grade_join(a: Grade, b: Grade) -> Grade:
@@ -238,10 +243,29 @@ def join_all(grades: Iterable[Grade]) -> Grade:
     return out
 
 
-def parse_grade(tokens: Sequence[str], n_params: int) -> Grade:
-    if len(tokens) != n_params:
-        raise ValueError(f"expected {n_params} coordinates, got {len(tokens)}")
-    return tuple(rat(t) for t in tokens)
+def grade_parser(n_params: int) -> Callable[[Sequence[str]], Grade]:
+    """A parser of the n_params-coordinate grades of one document.
+
+    It checks the token count and turns each distinct token into a
+    Fraction once, kept in a dict that lives as long as the parser, so
+    the grades of a document share their coordinates.  A bad token is
+    not kept: it raises ValueError or ZeroDivisionError, as Fraction
+    does, each time it is read.
+    """
+    coords: dict[str, Fraction] = {}
+
+    def parse(tokens: Sequence[str]) -> Grade:
+        if len(tokens) != n_params:
+            raise ValueError(f"expected {n_params} coordinates, got {len(tokens)}")
+        out = []
+        for t in tokens:
+            c = coords.get(t)
+            if c is None:
+                c = coords[t] = Fraction(t)
+            out.append(c)
+        return tuple(out)
+
+    return parse
 
 
 def format_grade(g: Grade) -> str:

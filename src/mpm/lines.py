@@ -8,9 +8,10 @@ push is max(a_i - w_i, 0) over the remaining finite-direction
 coordinate, the pointwise limit of the admissible formula.  _pushes
 holds the formula once, for any number type: push and
 restrict_presentation (the builder behind ``mpm restrict``) run it on
-Fractions; barcode_along_line runs it on ints, the labels and the line
-scaled once per call by positive common denominators, and divides only
-the bar endpoints back (proof at barcode_along_line); the
+Fractions; _int_pushes runs it on ints, the labels and the line scaled by
+positive common denominators (proof there), for barcode_along_line,
+which divides only the bar endpoints back, and for
+matchdist.sampled_lower_bound, which keeps the bars on that scale; the
 matching-distance search runs it on floats over its (s, mu) chart.
 """
 from __future__ import annotations
@@ -109,6 +110,44 @@ def restrict_presentation(P: Presentation, line: Line) -> Presentation:
                         tuple(pushed[P.n_rows:]), P.columns)
 
 
+def _label_denominator(label_vec) -> int:
+    """The least common denominator of every coordinate of the labels."""
+    return math.lcm(*{c.denominator for a in label_vec for c in a})
+
+
+def _int_pushes(label_vec, line: Line, den: int) -> tuple[list, int]:
+    """The pushes of 2-D Fraction labels along the line on one int scale,
+    and that scale s > 0: each int push is s times the Fraction push, and
+    even.
+
+    den is a common denominator of every label coordinate.  With
+    L = 2 lcm(den, wx.denominator, wy.denominator), for the base point
+    (wx, wy), and d the least common denominator of the chart's kx and
+    ky, _pushes runs on the int labels (L ax, L ay) and the int chart
+    (d kx, d ky, L wx, L wy).  Each int push is d kx (L ax - L wx) or
+    d ky (L ay - L wy), that is the Fraction one's term times s = L d,
+    so their maximum is s times the Fraction push, picked from the same
+    side of the same comparison.  As s > 0, every comparison between
+    two int pushes has the outcome of the one between the Fraction
+    pushes, ties included.  L / 2 already makes L ax - L wx and
+    L ay - L wy ints, so with the factor 2 they are even, and so is every
+    push: the bars read off them have even lengths, as
+    wasserstein.scaled_bar_distance needs at integral p and p = inf.
+    """
+    kx, ky, wx, wy = _line_chart(line)
+    L = 2 * math.lcm(den, wx.denominator, wy.denominator)
+    d = math.lcm(kx.denominator, ky.denominator)
+
+    def up(x, scale):
+        return x.numerator * (scale // x.denominator)
+
+    # up() written out: the call would dominate this loop
+    pushed = _pushes([(ax.numerator * (L // ax.denominator),
+                       ay.numerator * (L // ay.denominator)) for ax, ay in label_vec],
+                     (up(kx, d), up(ky, d), up(wx, L), up(wy, L)))
+    return pushed, L * d
+
+
 def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     """Barcode of coker(P) restricted to the line, read by
     onepar.barcode_pairs straight off the pushed labels.
@@ -117,15 +156,9 @@ def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     validated when built, and the push is monotone (kx, ky >= 0), so
     the pushed labels cannot break the label order.
 
-    The pushes are computed on ints.  With L the least common
-    denominator of every label coordinate and of the base point
-    (wx, wy), and d that of the chart's kx and ky, _pushes runs on the
-    int labels (L ax, L ay) and the int chart (d kx, d ky, L wx, L wy).
-    Each int push is d kx (L ax - L wx) or d ky (L ay - L wy), that is
-    the Fraction one's term times s = L d, so their maximum is s times
-    the Fraction push, picked from the same side of the same
-    comparison.  As s > 0, every comparison between two int pushes has
-    the outcome of the one between the Fraction pushes, ties included.
+    The pushes are computed on ints, by _int_pushes: each is s times the
+    Fraction push, and every comparison between them has the outcome
+    of the one between the Fraction pushes, ties included.
     barcode_pairs uses the values only through such comparisons: its
     stable sorts give the same row and column orders, hence the same
     memo keys and pivot pairing, and its birth < death test keeps the
@@ -135,22 +168,10 @@ def barcode_along_line(P: Presentation, line: Line) -> Barcode:
     """
     if P.n_params != 2:
         raise DataError("restriction applies to 2-parameter presentations")
-    kx, ky, wx, wy = _line_chart(line)
     labs = labels(P)
-    L = math.lcm(wx.denominator, wy.denominator,
-                 *{c.denominator for a in labs for c in a})
-    d = math.lcm(kx.denominator, ky.denominator)
-
-    def up(x, scale):
-        return x.numerator * (scale // x.denominator)
-
-    # up() written out: the call would dominate this loop
-    pushed = _pushes([(ax.numerator * (L // ax.denominator),
-                       ay.numerator * (L // ay.denominator)) for ax, ay in labs],
-                     (up(kx, d), up(ky, d), up(wx, L), up(wy, L)))
+    pushed, s = _int_pushes(labs, line, _label_denominator(labs))
     bars, essential = barcode_pairs(pushed[:P.n_rows], pushed[P.n_rows:],
                                     P.column_dicts(), P.field)
-    s = L * d
     return Barcode._of_valid_bars(
         tuple([(Fraction(b, s), Fraction(e, s)) for b, e in bars]
               + [(Fraction(b, s), INF) for b in essential]))

@@ -22,15 +22,19 @@ one corner nearest (s, mu) = (0, 0) and the min at the farthest one
 The push (lines._pushes), the box deviation, the bars along a line
 (onepar.barcode_pairs) and the per-line Wasserstein distance are each
 written once, generic in the number type: exact on Fractions
-(label_deviation, local_bound, wasserstein) and on ints scaled by
-common denominators (barcode_along_line), while the branch-and-bound
-loop runs the same code on floats with a small inflation (~1e-9) on
-every upper-bound term.  At a chart point (s, mu) the box bounds push
-by _push_at, the push with the chart's (_chart) 1s and 0s folded in,
-equal to lines._pushes bit for bit.  The final lower bound is
-re-evaluated in exact arithmetic on the report's argmax_admissible line
-(integral p and p = inf); a value above the inflated float upper bound
-is an error.
+(label_deviation, local_bound) and on ints scaled by common
+denominators, while the branch-and-bound loop runs the same code on
+floats with a small inflation (~1e-9) on every upper-bound term.  The
+exact per-line route is sampled_lower_bound: per line it pushes the
+labels of both modules on one int scale (lines._int_pushes), reads the
+int bars off barcode_pairs, and hands them to
+wasserstein.scaled_bar_distance, which divides the aggregate back once
+at integral p and p = inf; no Barcode or Fraction bar is built.  At a
+chart point (s, mu) the box bounds push by _push_at, the push with the
+chart's (_chart) 1s and 0s folded in, equal to lines._pushes bit for
+bit.  The final lower bound is re-evaluated by sampled_lower_bound on
+the report's argmax_admissible line (integral p and p = inf); a value
+above the inflated float upper bound is an error.
 
 Each reduction is computed once.  When a box is split, the children of
 both candidate splits are bounded in one batch over the labels of both
@@ -54,10 +58,11 @@ from typing import Optional, Sequence
 from .errors import ComputationError, DataError, SubdivisionLimitError
 from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, lp_root,
                      pexp_integral, rat, vec_pnorm)
-from .lines import AdmissibleLine, Line, LimitLine, barcode_along_line
+from .lines import (AdmissibleLine, Line, LimitLine, _int_pushes,
+                    _label_denominator)
 from .onepar import barcode_pairs
 from .presentation import Presentation, labels
-from .wasserstein import bar_distance, wasserstein
+from .wasserstein import bar_distance, scaled_bar_distance
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +261,43 @@ def local_bound(label_vec: Sequence[Grade], box: ParamBox, p: PExp) -> Extended:
 
 def sampled_lower_bound(P_M: Presentation, P_N: Presentation, p: PExp,
                         lines: Sequence[Line]) -> Extended:
-    """Max of the exact per-line Wasserstein distances (a valid lower bound)."""
+    """Max of the exact per-line Wasserstein distances (a valid lower bound).
+
+    The value at a line is that of wasserstein(barcode_along_line(P_M,
+    line), barcode_along_line(P_N, line), p), and the max starts from
+    Fraction(0) and moves only to a larger value.  No Barcode and no
+    Fraction bar is built: both modules are evaluated on one int scale
+    per line.  One common denominator of the labels of both
+    presentations is found per call, and lines._int_pushes pushes all
+    the labels along the line as even ints, s > 0 times the Fraction
+    pushes.  barcode_pairs only compares them, with the outcomes of the
+    Fraction comparisons, so it returns the bars of barcode_along_line
+    in the same order with every endpoint times s (proof at
+    barcode_along_line).  wasserstein_full's proof uses of its scale
+    only that it is positive and makes every bar an int pair of even
+    length, so it holds for s: scaled_bar_distance, which
+    wasserstein_full calls too, gives from these int bars the aggregate
+    of the Fraction bars, dividing once by s^p (by s at p = inf), and
+    at a non-integral p runs bar_distance on the Fraction bars divided
+    back.  lp_root then gives the per-line value, equal in value and
+    type.
+    """
     p = as_pexp(p)
+    k = P_M.n_rows + P_M.n_cols
+    label_vec = labels(P_M) + labels(P_N)
+    den = _label_denominator(label_vec)
+    cols_m, cols_n = P_M.column_dicts(), P_N.column_dicts()
     best: Extended = Fraction(0)
     for line in lines:
-        v = wasserstein(barcode_along_line(P_M, line),
-                        barcode_along_line(P_N, line), p)
+        if P_M.n_params != 2 or P_N.n_params != 2:
+            raise DataError("restriction applies to 2-parameter presentations")
+        pushed, s = _int_pushes(label_vec, line, den)
+        pm, pn = pushed[:k], pushed[k:]
+        agg, _ = scaled_bar_distance(
+            *barcode_pairs(pm[:P_M.n_rows], pm[P_M.n_rows:], cols_m, P_M.field),
+            *barcode_pairs(pn[:P_N.n_rows], pn[P_N.n_rows:], cols_n, P_N.field),
+            p, s)
+        v = lp_root(agg, p)
         if v > best:
             best = v
     return best
@@ -496,8 +532,7 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
                                 translation, converged, max_depth_seen)
         if pexp_integral(p) or is_inf(p):
             line = report.argmax_admissible()
-            report.lower = wasserstein(barcode_along_line(P_M, line),
-                                       barcode_along_line(P_N, line), p)
+            report.lower = sampled_lower_bound(P_M, P_N, p, [line])
         if report.lower > upper_f * (1.0 + 1e-12) + _INFLATE:
             raise ComputationError(
                 f"lower bound {float(report.lower)} exceeds upper bound {upper_f}")

@@ -33,11 +33,14 @@ needs no probe.
 
 bar_distance holds these steps once for any number type and returns
 the aggregate: the sum of p-th powers, or the max at p = inf.  The
-exact values come from integers: for integral p and for p = inf,
+exact values come from integers: scaled_bar_distance takes bars scaled
+to ints of even length and, for integral p and for p = inf, runs
+bar_distance on them and divides the aggregate back once
+(wasserstein_full's docstring proves that the answer is unchanged); at
+a non-integral p, whose costs are floats, it divides the bars back.
 wasserstein_full scales every endpoint by 2L, with L the least common
-denominator of the two barcodes, runs bar_distance on the resulting
-ints and divides the aggregate back once (its docstring proves that the
-answer is unchanged).  A non-integral p has float costs; the
+denominator of the two barcodes, and matchdist.sampled_lower_bound
+keeps the bars on the int scale of the pushes along each line.  The
 matching-distance search runs bar_distance on floats.  Every caller
 turns the aggregate into the distance with grades.lp_root.  Each
 ``*_power`` function and WassersteinResult.power is that aggregate,
@@ -467,19 +470,48 @@ def bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, zero):
     return ess + agg, pairs
 
 
+def scaled_bar_distance(fin_b, ess_b, fin_c, ess_c, p: PExp, scale: int):
+    """bar_distance of the bars divided by scale, from int bars.
+
+    The lists are as bar_distance takes them, of ints that are scale > 0
+    times the bars' values, with every finite bar's length even.  For
+    integral p and for p = inf bar_distance runs on the ints and the
+    aggregate is divided back once, by scale at p = inf and by scale^p
+    at finite p (wasserstein_full proves this exact); an infinite
+    aggregate stays INF.  A non-integral p has float costs either way:
+    the ints are divided back to their Fractions, in the same order, for
+    bar_distance on Fractions.  Returns (aggregate, pairs) as
+    bar_distance does.
+    """
+    if is_inf(p) or pexp_integral(p):
+        agg, pairs = bar_distance(fin_b, ess_b, fin_c, ess_c, p, 0)
+        if not is_inf(agg):
+            agg = Fraction(agg, scale if is_inf(p) else scale ** int(p))
+        return agg, pairs
+
+    def down(x):
+        return Fraction(x, scale)
+
+    return bar_distance([(down(b), down(d)) for b, d in fin_b], [down(x) for x in ess_b],
+                        [(down(b), down(d)) for b, d in fin_c], [down(x) for x in ess_c],
+                        p, Fraction(0))
+
+
 def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     """Minimal matching cost between B and C, with a realizing matching.
 
-    For integral p and for p = inf the solvers run on ints: with L the
-    least common denominator of every finite endpoint and essential
-    birth of B and C, each number x becomes the int 2Lx, so every bar
-    length is even and every half-length an int.  The aggregate is
-    unscaled once, by 2L at p = inf and by (2L)^p at finite p, and
-    rooted once by lp_root.
+    The bars go to scaled_bar_distance on ints: with L the least common
+    denominator of every finite endpoint and essential birth of B and
+    C, each number x becomes the int 2Lx, so every bar length is even
+    and every half-length an int.  For integral p and for p = inf the
+    solvers run on these ints, the aggregate is unscaled once, by 2L at
+    p = inf and by (2L)^p at finite p, and rooted once by lp_root.
 
     The matching is the one the Fraction arithmetic finds, and the
-    unscaled numbers are equal to its.  Scaling every number by s = 2L
-    scales every cost by c = s^p (c = s at p = inf): each cost is a sum
+    unscaled numbers are equal to its.  Of the scale s = 2L this uses
+    only that s > 0 and that the scaled bars are ints of even length,
+    so it holds for any such scale.  Scaling every number by s scales
+    every cost by c = s^p (c = s at p = inf): each cost is a sum
     of p-th powers of differences, or at p = inf a maximum of
     differences.  So does each reduced cost r_ij = min(0, c_ij - d_i -
     d_j) of bar_distance, as min(0, c x) = c min(0, x) for c > 0, and a
@@ -502,8 +534,8 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     same graphs.  A one-sided line returns its largest diagonal cost,
     which scales by c too.  The aggregate is therefore c times the
     unscaled one, and dividing by c recovers it exactly.  A
-    non-integral p has float costs either way and keeps the Fraction
-    inputs.
+    non-integral p has float costs either way and runs on the Fraction
+    inputs, given back by scaled_bar_distance.
 
     The result's power is the aggregate, which lp_root turns into its
     value, at every p; the matching is empty when the distance is inf.
@@ -513,20 +545,15 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
     fin_c, ess_c = _split(C)
     bars_b, bars_c = [B[i] for i in fin_b], [C[j] for j in fin_c]
     births_b, births_c = [B[i][0] for i in ess_b], [C[j][0] for j in ess_c]
-    if is_inf(p) or pexp_integral(p):
-        scale = 2 * math.lcm(*(x.denominator for x in chain(
-            births_b, births_c, *bars_b, *bars_c)))
+    scale = 2 * math.lcm(*(x.denominator for x in chain(
+        births_b, births_c, *bars_b, *bars_c)))
 
-        def up(x):
-            return x.numerator * (scale // x.denominator)
+    def up(x):
+        return x.numerator * (scale // x.denominator)
 
-        agg, pairs = bar_distance(
-            [(up(b), up(d)) for b, d in bars_b], [up(x) for x in births_b],
-            [(up(b), up(d)) for b, d in bars_c], [up(x) for x in births_c], p, 0)
-        if not is_inf(agg):
-            agg = Fraction(agg, scale if is_inf(p) else scale ** int(p))
-    else:
-        agg, pairs = bar_distance(bars_b, births_b, bars_c, births_c, p, Fraction(0))
+    agg, pairs = scaled_bar_distance(
+        [(up(b), up(d)) for b, d in bars_b], [up(x) for x in births_b],
+        [(up(b), up(d)) for b, d in bars_c], [up(x) for x in births_c], p, scale)
     pairs = [(fin_b[i], fin_c[j]) for i, j in pairs] + list(zip(ess_b, ess_c))
     return WassersteinResult(p, lp_root(agg, p), agg,
                              Matching(frozenset([] if is_inf(agg) else pairs)))

@@ -19,7 +19,7 @@ import mpm
 from mpm import (Barcode, DataError, Matching, PairedPresentations, ParseError,
                  PrimeField, Presentation, free_presentation, grade_join, grade_leq,
                  hilbert_dim, label_distance, label_distance_power, labels,
-                 matching_cost, matching_cost_power, parse_presentation,
+                 matching_cost, matching_cost_power, parse_complex, parse_presentation,
                  rank_invariant, rat, serialize_presentation, vec_pnorm,
                  vec_pnorm_power, wasserstein, wasserstein_power)
 from mpm.field import ColumnEchelon, column_rank, is_prime
@@ -57,9 +57,26 @@ def test_rat_exact_decimal_parsing():
     assert rat("1.25") == F(5, 4)
     assert rat("3/4") == F(3, 4)
     assert rat("-0.1") == F(-1, 10)
-    assert format_rat(F(5, 4)) == "1.25"
-    assert format_rat(F(1, 3)) == "1/3"
-    assert format_rat(F(-7, 2)) == "-3.5"
+
+
+# format_rat's text for ints, Fractions, floats (which print their exact
+# binary value), negative values and inf
+FORMAT_RAT_TABLE = (
+    (0, "0"), (7, "7"), (-12, "-12"), (10**20, "100000000000000000000"),
+    (F(0), "0"), (F(5, 4), "1.25"), (F(1, 3), "1/3"), (F(-7, 2), "-3.5"),
+    (F(-1, 3), "-1/3"), (F(3, 8), "0.375"), (F(1, 10**12), "0.000000000001"),
+    (F(-22, 7), "-22/7"), (F(10**12 + 39, 10**12), "1.000000000039"),
+    (F(1, 128000), "0.0000078125"),
+    (0.1, "0.1000000000000000055511151231257827021181583404541015625"),
+    (1e-5, "0.000010000000000000000818030539140313095458623138256371021270751953125"),
+    (0.5, "0.5"), (-2.25, "-2.25"), (1.0, "1"), (-0.0, "0"),
+    (3e20, "300000000000000000000"), (math.inf, "inf"),
+)
+
+
+def test_format_rat_table():
+    for x, text in FORMAT_RAT_TABLE:
+        assert format_rat(x) == text, x
 
 
 def test_pth_root_accuracy():
@@ -159,6 +176,12 @@ def test_grade_order_is_product_order():
     assert grade_leq((F(1), F(2)), (F(1), F(3)))
     assert not grade_leq((F(2), F(0)), (F(1), F(4)))
     assert not grade_leq((F(1), F(4)), (F(2), F(0)))
+    assert grade_leq((F(-1, 3),), (F(0),)) and grade_leq((F(2),), (F(2),))
+    assert not grade_leq((F(1),), (F(1, 2),))
+    for a, b in (((F(0),), (F(1), F(1))), ((F(0), F(0)), (F(1),)),
+                 ((F(2), F(0)), (F(1),)), ((), (F(1),))):
+        with pytest.raises(ValueError):
+            grade_leq(a, b)
     assert grade_join((F(1), F(4)), (F(3), F(3))) == (F(3), F(4))
 
 
@@ -195,6 +218,52 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows -2\ncols 0\n")
     with pytest.raises(ParseError, match="line 6: cols must be >= 0, got -1"):
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols -1\n")
+
+
+CWF_TOKENS = """\
+cwf 1
+field 2
+params 2
+a 0 0 1/2 :
+b 0 0.5 0 :
+e 1 0.5 1/2 : a 1 b 1
+"""
+
+
+def test_parsers_make_each_distinct_token_once(monkeypatch):
+    made = []
+    original = F.__new__
+
+    def spy(cls, *args, **kwargs):
+        if args and isinstance(args[0], str):
+            made.append(args[0])
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(spy))
+    assert parse_presentation(FPM_F).col_labels[1] == (F(3), F(3))
+    assert sorted(made) == ["0", "1", "3", "4"]
+    made.clear()
+    X = parse_complex(CWF_TOKENS)
+    assert sorted(made) == ["0", "0.5", "1/2"]
+    # equal-valued spellings give equal grades
+    assert X.grade_map() == {"a": (0, F(1, 2)), "b": (F(1, 2), 0),
+                             "e": (F(1, 2), F(1, 2))}
+
+
+def test_parsers_report_a_later_bad_token_at_its_line():
+    head = "fpm 1\nfield 2\nparams 2\nrows 3\n"
+    assert (parse_presentation(head + "1 0.5\n1/2 1\n1 1\ncols 0\n").row_labels
+            == ((1, F(1, 2)), (F(1, 2), 1), (1, 1)))
+    with pytest.raises(ParseError, match=r"^line 7: .*'x'") as info:
+        parse_presentation(head + "1 1\n1 1\n1 x\ncols 0\n")
+    assert info.value.line == 7
+    with pytest.raises(ParseError, match=r"^line 6: Fraction\(1, 0\)"):
+        parse_presentation(head + "1 1/2\n1/2 1/0\n1/0 1\ncols 0\n")
+    cells = "cwf 1\nfield 2\nparams 2\nv 0 1/3 2 :\nw 0 1/3 2 :\n"
+    with pytest.raises(ParseError, match=r"^line 6: .*'2\.x'"):
+        parse_complex(cells + "e 1 1/3 2.x : v 1 w 1\n")
+    with pytest.raises(ParseError, match=r"^line 6: Fraction\(2, 0\)"):
+        parse_complex(cells + "e 1 1/3 2/0 : v 1 w 1\n")
 
 
 def test_roundtrip_identity():

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 import mpm.lines
+import mpm.matchdist
 from mpm import (AdmissibleLine, Barcode, DataError, INF, LimitLine,
                  Presentation, approx_matching_distance, barcode_along_line,
                  barcode_of, free_presentation, hilbert_dim, labels, parse_line,
                  push, restrict_presentation, sampled_lower_bound, wasserstein)
 from mpm.field import PrimeField
-from mpm.fixtures import random_presentation
+from mpm.fixtures import random_paired_presentations, random_presentation
 from mpm.grades import vec_pnorm
 
 F2 = PrimeField(2)
@@ -207,6 +208,63 @@ def test_barcode_along_line_builds_no_presentation(monkeypatch, pres_f, pres_g):
     # make_report re-evaluates the best line exactly
     assert approx_matching_distance(pres_f, pres_g, 1, F(1, 4)).lower == 1
     assert built == []
+
+
+def _barcode_route(P_M, P_N, p, lines):
+    """sampled_lower_bound through Barcodes and wasserstein: the max over
+    the lines, starting from F(0), of the per-line distances."""
+    return max([F(0)] + [wasserstein(barcode_along_line(P_M, line),
+                                     barcode_along_line(P_N, line), p)
+                         for line in lines])
+
+
+def test_sampled_lower_bound_equals_the_barcode_route(h1_f):
+    # one int scale for both modules gives the value and type of the
+    # Barcode route at every p, on labels with denominators 3, 7 and
+    # 10**12 and negative coordinates, base points with denominators up
+    # to 10**12 + 39, both limit lines, empty presentations and a pair
+    # whose essential counts differ
+    rng = random.Random(97)
+    big = 10**12 + 39
+    empty = Presentation(F2, 2, (), (), ())
+    one_free = free_presentation([(F(1, 3), F(-2, 7))], F2)
+    cases = [(empty, empty), (empty, h1_f), (h1_f, one_free), (one_free, empty)]
+    for _ in range(12):
+        A, B = random_paired_presentations(rng, 2, 4, 4)
+        C = random_presentation(rng, n_params=2, max_rows=4, max_cols=4)
+        cases += [(_relabel(rng, A), _relabel(rng, B)), (A, C)]
+    for P_M, P_N in cases:
+        line = _random_line(rng)
+        w = (F(rng.randrange(-3 * big, 3 * big), big), F(rng.randrange(-21, 22), 7))
+        lines = [line, AdmissibleLine(line.v, w), LimitLine(0, w), LimitLine(1, line.w)]
+        for p in (F(1), F(2), F(3), F(3, 2), math.inf):
+            for batch in [lines] + [[ln] for ln in lines]:
+                got = sampled_lower_bound(P_M, P_N, p, batch)
+                want = _barcode_route(P_M, P_N, p, batch)
+                assert got == want and type(got) is type(want), (P_M, P_N, p, batch)
+    assert sampled_lower_bound(h1_f, one_free, 1, lines) == INF
+    assert sampled_lower_bound(empty, empty, 2, lines) == 0
+
+
+def test_sampled_lower_bound_pairs_int_bars(monkeypatch, pres_f, pres_g, h1_f):
+    # at integral p and p = inf the bars stay on the int scale of the
+    # pushes: barcode_pairs sees ints only, once per module and line
+    seen = []
+    original = mpm.matchdist.barcode_pairs
+
+    def spy(row_values, col_values, columns, field, memo=None):
+        seen.append(list(row_values) + list(col_values))
+        return original(row_values, col_values, columns, field, memo)
+
+    monkeypatch.setattr(mpm.matchdist, "barcode_pairs", spy)
+    P = _relabel(random.Random(89), pres_g)
+    lines = [AdmissibleLine((1, F(7, 3)), (F(1, 10**12 + 39), F(-2, 7))),
+             LimitLine(0, (F(-1, 3), F(2, 7))), LimitLine(1, (0, 0))]
+    for p in (1, 2, math.inf):
+        for P_M, P_N in ((pres_f, P), (P, h1_f)):
+            sampled_lower_bound(P_M, P_N, p, lines)
+    assert len(seen) == 3 * 2 * 2 * len(lines)
+    assert all(type(x) is int for values in seen for x in values)
 
 
 def test_canonicalization_preserves_wasserstein():

@@ -624,6 +624,7 @@ def test_exact_lower_above_float_upper_raises(pres_f, pres_g, monkeypatch):
     # the exact re-evaluation of the lower bound is checked against the
     # float upper bound before the report takes their max
     report = approx_matching_distance(pres_f, pres_g, 1, F(1, 4))
-    monkeypatch.setattr(matchdist, "wasserstein", lambda B, C, p: report.upper + 1)
+    monkeypatch.setattr(matchdist, "sampled_lower_bound",
+                        lambda P_M, P_N, p, lines: report.upper + 1)
     with pytest.raises(ComputationError):
         approx_matching_distance(pres_f, pres_g, 1, F(1, 4))
