@@ -27,7 +27,7 @@ from .presentation import (Presentation, free_presentation, hilbert_dim,
                            labels, rank_invariant)
 from .presdist import (BoundsReport, PairedPresentations, bounds,
                        chain_upper_bound, label_distance,
-                       label_distance_power, modules_agree, pad_and_pair)
+                       label_distance_power, pad_and_pair)
 from .wasserstein import (Matching, WassersteinResult, matching_cost,
                           matching_cost_power, wasserstein, wasserstein_full,
                           wasserstein_power)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ComputationError, DataError, ParseError
-from .field import ColumnEchelon, PrimeField, SparseCol, _bits_of, _col_of, col_axpy
+from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
 from .fpm import _preamble
 from .grades import (Grade, format_grade, grade_leq, grade_parser, join_all,
                      rat, show_grade)
@@ -312,9 +312,6 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
     by_lead: dict[int, _Elem] = {}
     dead: set[int] = set()
     ech = ColumnEchelon(field)
-    f2 = field.q == 2
-    if f2:  # the echelon's own bitsets, made once for every sweep
-        bits = [_bits_of(c) for c in cols]
     entry_pos: list[int] = []  # x-order position behind each echelon entry
     for y, start in sorted(first_new.items()):
         ech.truncate(bisect_left(entry_pos, start))
@@ -323,20 +320,11 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
             i = x_order[pos]
             if y_of[i] > y or i in dead:
                 continue
-            if f2:
-                res, combo = ech._insert_bits(bits[i], i)
-            else:
-                res, combo = ech.insert(cols[i], tag=i)
-            if res:
+            vec = ech.add_tagged(cols[i], i)
+            if vec is None:
                 entry_pos.append(pos)
                 continue
             dead.add(i)
-            vec: SparseCol
-            if f2:
-                vec = _col_of(combo | 1 << i)
-            else:
-                vec = {i: 1}
-                vec.update((t, -v % field.q) for t, v in combo.items())
             elem = _Elem(vec, _support_grade(vec, rg))
             _place_distinct_lead(elem, by_lead, rank, rg, field)
             emitted.append(elem)

@@ -4,23 +4,24 @@ Field elements are plain ints in [0, q); columns are dicts mapping row
 index to a nonzero residue.  :class:`ColumnEchelon` is the one
 elimination engine used for ranks, kernel bases (cellular) and the
 1-parameter pivot pairing behind barcodes and the graded normal form
-(onepar).
+(onepar).  Its callers hand it columns and get back pivots and kernel
+vectors, the same way over every field.
 
-ColumnEchelon stores its columns in one of two forms, chosen by the
-field alone.  Over F_q with q > 2 a column is such a dict, and one
-reduction step scales the pivot entry by an inverse and updates the
-column entry by entry.  Over F_2 every nonzero entry is 1, so a column
-is all in its support: it is kept as a Python int bitset (bit r set
-for row r), its pivot is ``bit_length() - 1``, and one reduction step
-is one XOR.  This is the column representation of F_2 persistence
-engines such as PHAT and mpfree, and the default field of this package
-is F_2.
+Inside, the field alone picks how ColumnEchelon stores its columns.
+Over F_q with q > 2 a column is such a dict, and one reduction step
+scales the pivot entry by an inverse and updates the column entry by
+entry.  Over F_2 every nonzero entry is 1, so a column is all in its
+support: it is kept as a Python int bitset (bit r set for row r), its
+pivot is ``bit_length() - 1``, and one reduction step is one XOR.  This
+is the column representation of F_2 persistence engines such as PHAT
+and mpfree, which likewise keep it behind the matrix type; the default
+field of this package is F_2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import DataError
 
@@ -86,79 +87,109 @@ def col_axpy(dst: SparseCol, factor: int, src: SparseCol, q: int) -> SparseCol:
     return dst
 
 
-def _bits_of(col) -> int:
-    """The F_2 bitset of a column given as a dict or as (row, value) pairs.
-
-    Bit r is set for every row r listed; values are taken to be nonzero
-    residues, as every column of this package is, hence 1 over F_2.
-    """
-    bits = 0
-    if isinstance(col, dict):
-        for r in col:
-            bits |= 1 << r
-    else:
-        for r, _ in col:
-            bits |= 1 << r
-    return bits
-
-
-def _col_of(bits: int) -> SparseCol:
-    """The dict column {r: 1} of an F_2 bitset, rows in descending order."""
-    col = {}
-    while bits:
-        r = bits.bit_length() - 1
-        col[r] = 1
-        bits ^= 1 << r
-    return col
-
-
 class ColumnEchelon:
-    """Incremental column echelon form; a tag on an insert tracks it.
+    """Incremental column echelon form over a prime field.
 
-    Pivot of a column is its largest row index.  An echelon has a tag on
-    every insert or on none.  A tagged entry remembers an expression of
-    its reduced form as a combination of the original tagged columns,
-    and :meth:`reduce` sums expressions only from entries that have one,
-    so with tags on every insert its combo gives exact coordinates.
-    Columns go in as dicts or as (row, value) pairs: reduce copies them.
+    Columns go in as dicts or as (row, value) pairs and are not
+    modified.  A column's pivot is its row of largest rank, and pivots
+    are reported by rank: row_rank, if given, maps each row to its
+    rank, else a row's rank is its index.  A column is reduced by the
+    entry at its pivot until its pivot is free or nothing is left; a
+    nonzero residual is kept as a new entry, and no entry is replaced.
 
-    The representation follows the field, with no other switch.  Over
-    F_q, q > 2, an entry is a dict column with a dict expression (None
-    when untagged).  Over F_2 an entry is an int bitset of rows (see
-    _bits_of) with an int bitset of tags as its expression (0 when
-    untagged), so a reduction step is ``res ^= column`` and ``combo ^=
-    expression``, with no inverse and no per-entry update; rows and
-    tags must then be nonnegative.  Both forms return the same dicts
-    (over F_2 every value is 1).  Callers that hold bitsets already
-    may call _reduce_bits and _insert_bits on an F_2 echelon and skip the
-    dicts altogether.
+    An entry kept by :meth:`add_tagged` also keeps its expression as a
+    combination of the tagged columns, and one kept by :meth:`add` has
+    none, so an echelon that yields kernel vectors takes every column
+    by add_tagged.  Over F_2 entries and expressions are int bitsets
+    (see the module docstring), so ranks and tags must be nonnegative.
     """
 
-    def __init__(self, field: PrimeField):
+    def __init__(self, field: PrimeField, row_rank: Optional[Mapping[int, int]] = None):
         self.field = field
-        self._table: dict[int, tuple] = {}  # pivot row -> (column, expression)
+        self._row_rank = row_rank
+        self._bits = field.q == 2
+        self._table: dict[int, tuple] = {}  # pivot rank -> (column, expression)
         self.rank = 0
 
-    def reduce(self, col: SparseCol) -> tuple[SparseCol, SparseCol]:
-        """Reduce col against the echelon.
+    def add(self, col) -> Optional[tuple[int, int]]:
+        """Reduce col; keep a nonzero residual and return its (pivot
+        rank, pivot value), or return None if col is in the span."""
+        res, _ = self._reduce(col)
+        if not res:
+            return None
+        if self._bits:
+            piv, value, expr = res.bit_length() - 1, 1, 0
+        else:
+            piv = max(res)
+            value, expr = res[piv], None
+        self._table[piv] = (res, expr)
+        self.rank += 1
+        return piv, value
 
-        Returns (residual, combo) with
-        ``residual = col - sum(combo[tag] * original_tag)`` over F_q.
-        combo is empty when no insert had a tag.
+    def add_tagged(self, col, tag: int) -> Optional[SparseCol]:
+        """Reduce col, tracking the tagged columns that reduced it.
+
+        The expression ``{tag: 1} - combo`` sums the tagged columns to
+        the residual.  A nonzero residual is kept with it, and None is
+        returned; else col is in the span, and the expression is
+        returned as a dict: a kernel vector of the tagged columns.
         """
-        if self.field.q == 2:
-            res, combo = self._reduce_bits(_bits_of(col))
-            return _col_of(res), _col_of(combo)
-        q = self.field.q
-        res = dict(col)
+        res, combo = self._reduce(col)
+        if self._bits:
+            expr = combo ^ (1 << tag)
+        else:
+            q = self.field.q
+            expr = {tag: 1}
+            for t, v in combo.items():
+                w = (expr.get(t, 0) - v) % q
+                if w:
+                    expr[t] = w
+                else:
+                    expr.pop(t, None)
+        if res:
+            self._table[res.bit_length() - 1 if self._bits else max(res)] = (res, expr)
+            self.rank += 1
+            return None
+        if not self._bits:
+            return expr
+        vec = {}
+        while expr:
+            t = expr.bit_length() - 1
+            vec[t] = 1
+            expr ^= 1 << t
+        return vec
+
+    def _reduce(self, col) -> tuple:
+        """(residual, combo) of col in the entries' form, with
+        ``residual = col - sum(combo[tag] * column tag)``."""
+        table, row_rank = self._table, self._row_rank
+        if not isinstance(col, dict):
+            col = dict(col)
+        if self._bits:
+            res = combo = 0
+            if row_rank is None:
+                for r in col:
+                    res |= 1 << r
+            else:
+                for r in col:
+                    res |= 1 << row_rank[r]
+            while res:
+                entry = table.get(res.bit_length() - 1)
+                if entry is None:
+                    break
+                res ^= entry[0]
+                combo ^= entry[1]
+            return res, combo
+        q, inv = self.field.q, self.field.inv
+        res = dict(col) if row_rank is None else {row_rank[r]: v for r, v in col.items()}
         combo: SparseCol = {}
         while res:
             piv = max(res)
-            entry = self._table.get(piv)
+            entry = table.get(piv)
             if entry is None:
                 break
             ecol, eexpr = entry
-            factor = res[piv] * self.field.inv(ecol[piv]) % q
+            factor = res[piv] * inv(ecol[piv]) % q
             col_axpy(res, factor, ecol, q)
             if eexpr:
                 for tag, v in eexpr.items():
@@ -169,60 +200,11 @@ class ColumnEchelon:
                         combo.pop(tag, None)
         return res, combo
 
-    def insert(self, col: SparseCol, tag: Optional[int] = None) -> tuple[SparseCol, SparseCol]:
-        """Reduce col and, if a residual remains, add it to the echelon.
-
-        Returns the (residual, combo) pair of :meth:`reduce`; an empty
-        residual means col was already in the span.
-        """
-        if self.field.q == 2:
-            res, combo = self._insert_bits(_bits_of(col), tag)
-            return _col_of(res), _col_of(combo)
-        res, combo = self.reduce(col)
-        if res:
-            expr = None
-            if tag is not None:
-                expr = {tag: 1}
-                for t, v in combo.items():
-                    w = (expr.get(t, 0) - v) % self.field.q
-                    if w:
-                        expr[t] = w
-                    else:
-                        expr.pop(t, None)
-            self._table[max(res)] = (res, expr)
-            self.rank += 1
-        return res, combo
-
-    def _reduce_bits(self, res: int) -> tuple[int, int]:
-        """reduce over F_2 on bitsets: (residual, combo) as ints."""
-        table = self._table
-        combo = 0
-        while res:
-            entry = table.get(res.bit_length() - 1)
-            if entry is None:
-                break
-            res ^= entry[0]
-            combo ^= entry[1]
-        return res, combo
-
-    def _insert_bits(self, col: int, tag: Optional[int] = None) -> tuple[int, int]:
-        """insert over F_2 on bitsets: (residual, combo) as ints.
-
-        The new entry's expression is its tag minus combo, which over
-        F_2 is the tag's bit XOR combo.
-        """
-        res, combo = self._reduce_bits(col)
-        if res:
-            self._table[res.bit_length() - 1] = (
-                res, 0 if tag is None else combo ^ (1 << tag))
-            self.rank += 1
-        return res, combo
-
     def truncate(self, n: int) -> None:
-        """Keep the first n entries inserted and drop the later ones.
+        """Keep the first n entries kept and drop the later ones.
 
         Pivots are never replaced, so the echelon is then exactly as it
-        was right after its n-th insertion that left a residual.
+        was right after the n-th column that left a residual.
         """
         if n < self.rank:
             self._table = dict(islice(self._table.items(), n))
@@ -232,5 +214,5 @@ class ColumnEchelon:
 def column_rank(columns: Iterable[SparseCol], field: PrimeField) -> int:
     ech = ColumnEchelon(field)
     for col in columns:
-        ech.insert(col)
+        ech.add(col)
     return ech.rank

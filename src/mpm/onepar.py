@@ -5,7 +5,7 @@ lines.barcode_along_line and the matching-distance search alike.
 
 The reduction is the persistence-style column reduction, run by
 field.ColumnEchelon (_pivot_pairing): rows and columns are sorted by
-label (ties by index), columns are inserted left to right, and each is
+label (ties by index), columns are added left to right, and each is
 repeatedly reduced by the earlier column owning its nonzero row of
 largest index.  Every operation adds an earlier-labeled column to a later one,
 hence is admissible.  The normal form's cleanup that empties pivot rows
@@ -30,28 +30,17 @@ def _pivot_pairing(row_order: Sequence[int], col_order: Sequence[int],
                    columns: Sequence[SparseCol], field: PrimeField) -> dict:
     """Column reduction of the matrix with rows and columns permuted.
 
-    Rows are renumbered by their rank in row_order and the columns are
-    inserted into a ColumnEchelon in col_order.  Returns {row rank:
-    (column rank, pivot coefficient)} in pivot order.  Over F_2 the
-    columns go in as bitsets of row ranks, and every coefficient is 1.
+    The columns are added in col_order to a ColumnEchelon that ranks
+    each row by its position in row_order, so a column's pivot is its
+    row latest in row_order.  Returns {row rank: (column rank, pivot
+    coefficient)} in pivot order.
     """
-    row_rank = {orig: rank for rank, orig in enumerate(row_order)}
-    echelon = ColumnEchelon(field)
+    echelon = ColumnEchelon(field, {orig: rank for rank, orig in enumerate(row_order)})
     pivots = {}
-    if field.q == 2:
-        for rank, j in enumerate(col_order):
-            bits = 0
-            for r in columns[j]:
-                bits |= 1 << row_rank[r]
-            res, _ = echelon._insert_bits(bits)
-            if res:
-                pivots[res.bit_length() - 1] = (rank, 1)
-        return pivots
     for rank, j in enumerate(col_order):
-        res, _ = echelon.insert({row_rank[r]: v for r, v in columns[j].items()})
-        if res:
-            r = max(res)
-            pivots[r] = (rank, res[r])
+        kept = echelon.add(columns[j])
+        if kept is not None:
+            pivots[kept[0]] = (rank, kept[1])
     return pivots
 
 

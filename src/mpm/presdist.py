@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (ChainError, ComputationError, DataError, PairingError,
@@ -20,7 +19,7 @@ from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
                      vec_pnorm, vec_pnorm_power)
 from .matchdist import DistanceReport, approx_matching_distance
 from .onepar import barcode_of
-from .presentation import Presentation, hilbert_dim, labels
+from .presentation import Presentation, labels
 
 
 @dataclass(frozen=True)
@@ -182,36 +181,6 @@ def _uniform_borrow(Pp: Presentation, Qp: Presentation):
 
 # ---------------------------------------------------------------------------
 # chains and combined bounds
-
-def _axis_values(values: Sequence[Fraction], cap: int = 6) -> list[Fraction]:
-    uniq = sorted(set(values))
-    if not uniq:
-        return [Fraction(0)]
-    if len(uniq) > cap:
-        step = (len(uniq) - 1) / (cap - 1)
-        uniq = [uniq[round(i * step)] for i in range(cap)]
-    return [uniq[0] - 1] + uniq + [uniq[-1] + 1]
-
-
-def _hilbert_spot_grid(P: Presentation, Q: Presentation) -> list[Grade]:
-    """A small grade grid spanning both label sets (plus outside margins)."""
-    pool = labels(P) + labels(Q)
-    n = P.n_params
-    axes = [_axis_values([g[i] for g in pool]) for i in range(n)]
-    return [tuple(pt) for pt in product(*axes)]
-
-
-def modules_agree(P: Presentation, Q: Presentation) -> bool:
-    """Hilbert-function spot check for equality of the presented modules,
-    on _hilbert_spot_grid(P, Q).
-
-    Only a necessary condition: non-isomorphic modules can have equal
-    Hilbert functions, so chain_upper_bound does not rely on it.
-    """
-    if P.n_params != Q.n_params:
-        return False
-    return all(hilbert_dim(P, g) == hilbert_dim(Q, g) for g in _hilbert_spot_grid(P, Q))
-
 
 def _same_module(P: Presentation, Q: Presentation) -> bool:
     """True only when P and Q provably present isomorphic modules.

@@ -154,9 +154,9 @@ def rank_invariant(P: Presentation, s: Grade, t: Grade) -> int:
     ech = ColumnEchelon(P.field)
     for col, lbl in zip(P.columns, P.col_labels):
         if grade_leq(lbl, t):
-            ech.insert(col)
+            ech.add(col)
     rank_rt = ech.rank
     for i in range(P.n_rows):
         if grade_leq(P.row_labels[i], s):
-            ech.insert({i: 1})
+            ech.add({i: 1})
     return ech.rank - rank_rt

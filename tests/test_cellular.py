@@ -132,35 +132,37 @@ def test_homology_presentation_builds_one_echelon(monkeypatch, fig_complex_f):
 def test_kernel_sweeps_resume_from_their_unchanged_prefix(monkeypatch):
     # each sweep after the first reduces only from its first new column
     # (the first of its y-grade in the (x, index) order) on, and the
-    # sweep's joins see integer grade ranks, not Fractions
-    X = random_monotone_complex(random.Random(17), n_vertices=10,
-                                edge_rate=0.5, max_cells=60)
-    gamma = boundary_morphism(X, 1)
-    dg = gamma.col_labels
-    pos = {i: p for p, i in enumerate(sorted(range(len(dg)), key=lambda i: (dg[i][0], i)))}
-    ys = sorted({g[1] for g in dg})
-    start = {y: min(pos[i] for i in pos if dg[i][1] == y) for y in ys}
+    # sweep's joins see integer grade ranks, not Fractions; over F_2
+    # (bitset columns) and F_3 (dict columns) alike
     inserted, joined = [], []
-    # over F_2 the sweep inserts bitsets: _insert_bits sees every insert
-    assert gamma.field.q == 2
-    insert, support_grade = ColumnEchelon._insert_bits, C._support_grade
+    add_tagged, support_grade = ColumnEchelon.add_tagged, C._support_grade
 
-    def spy_insert(self, col, tag=None):
+    def spy_add_tagged(self, col, tag):
         inserted.append(tag)
-        return insert(self, col, tag)
+        return add_tagged(self, col, tag)
 
     def spy_support_grade(vec, grades):
         joined.extend(c for i in vec for c in grades[i])
         return support_grade(vec, grades)
 
-    monkeypatch.setattr(ColumnEchelon, "_insert_bits", spy_insert)
+    monkeypatch.setattr(ColumnEchelon, "add_tagged", spy_add_tagged)
     monkeypatch.setattr(C, "_support_grade", spy_support_grade)
-    K = kernel_basis(gamma)
-    assert len(ys) > 1 and len(K) > 0 and inserted
-    for i in pos:
-        # at most once per sweep that holds i at or after its first new column
-        assert inserted.count(i) <= sum(dg[i][1] <= y and pos[i] >= start[y] for y in ys)
-    assert joined and {type(c) for c in joined} == {int}
+    for q in (2, 3):
+        X = random_monotone_complex(random.Random(17), n_vertices=10, edge_rate=0.5,
+                                    max_cells=60, field=PrimeField(q))
+        gamma = boundary_morphism(X, 1)
+        dg = gamma.col_labels
+        pos = {i: p for p, i in enumerate(sorted(range(len(dg)), key=lambda i: (dg[i][0], i)))}
+        ys = sorted({g[1] for g in dg})
+        start = {y: min(pos[i] for i in pos if dg[i][1] == y) for y in ys}
+        inserted.clear()
+        joined.clear()
+        K = kernel_basis(gamma)
+        assert len(ys) > 1 and len(K) > 0 and inserted
+        for i in pos:
+            # at most once per sweep that holds i at or after its first new column
+            assert inserted.count(i) <= sum(dg[i][1] <= y and pos[i] >= start[y] for y in ys)
+        assert joined and {type(c) for c in joined} == {int}
 
 
 def test_with_grades_names_a_missing_cell():

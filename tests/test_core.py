@@ -327,45 +327,70 @@ def test_column_echelon_rank_matches_dense():
 
 
 def test_column_echelon_reduce_roundtrip():
-    # with a tag on every insert, reduce's combo rebuilds col - residual
-    # from the original columns: the whole target inside their span, a
-    # nonzero residual left outside it; an untagged echelon tracks nothing
+    # over F_5, add_tagged returns for a column in the span of the tagged
+    # ones the kernel vector {tag: 1} - combo, which sums the columns to
+    # zero, and keeps a column outside the span; add reports the same
+    # split by pivot alone.  No column is modified
     fld = PrimeField(5)
     cols = [{0: 1, 1: 2}, {1: 3}, {0: 4, 2: 1}]
+    target = {0: (1 + 4 * 2) % 5, 1: 2, 2: 2}  # cols[0] + 2*cols[2]
+    outside = {0: 2, 3: 1}
     tagged, plain = ColumnEchelon(fld), ColumnEchelon(fld)
     for i, c in enumerate(cols):
-        tagged.insert(c, tag=i)
-        plain.insert(c)
+        assert tagged.add_tagged(c, i) is None
+        assert plain.add(c) is not None
     assert cols == [{0: 1, 1: 2}, {1: 3}, {0: 4, 2: 1}]
 
-    def rebuilt(combo, res):
-        out = dict(res)
-        for tag, coeff in combo.items():
-            for r, v in cols[tag].items():
-                out[r] = (out.get(r, 0) + coeff * v) % 5
-        return {r: v for r, v in out.items() if v}
-
-    target = {0: (1 + 4 * 2) % 5, 1: 2, 2: 2}  # cols[0] + 2*cols[2]
-    res, combo = tagged.reduce(target)
-    assert res == {} and combo == {0: 1, 2: 2}
-    assert rebuilt(combo, res) == target
-    outside = {0: 2, 3: 1}
-    res, combo = tagged.reduce(outside)
-    assert res and rebuilt(combo, res) == outside
-    assert plain.reduce(target) == ({}, {})
-    assert plain.reduce(outside)[1] == {}
+    vec = tagged.add_tagged(target, 3)
+    assert vec == {3: 1, 0: 4, 2: 3}
+    total = {}
+    for t, v in vec.items():
+        for r, w in (cols + [target])[t].items():
+            total[r] = (total.get(r, 0) + v * w) % 5
+    assert not any(total.values())
+    assert tagged.rank == 3
+    assert tagged.add_tagged(outside, 4) is None and tagged.rank == 4
+    assert plain.add(target) is None and plain.rank == 3
+    assert plain.add(outside) == (3, 1) and plain.rank == 4
+    assert target == {0: 4, 1: 2, 2: 2} and outside == {0: 2, 3: 1}
 
 
 def test_column_echelon_matches_the_dict_reference():
     # over F_2 the echelon runs on int bitsets, over F_3 and F_5 on dicts;
-    # both must give the reference's residuals, combos and rank at every
-    # insert, reduce and truncate, with columns as dicts or as pairs
+    # with or without a row order, both must keep the reference's
+    # residuals at every add, add_tagged and truncate, with columns as
+    # dicts or as pairs.  The reference sees each row renamed to its rank
+    def check(q, cols, tagged, row_rank=None, truncations=()):
+        ech, ref = ColumnEchelon(PrimeField(q), row_rank), ReferenceEchelon(q)
+        for j, col in enumerate(cols):
+            if j in truncations:
+                ech.truncate(truncations[j])
+                ref.truncate(truncations[j])
+            renamed = {row_rank[r] if row_rank else r: v for r, v in dict(col).items()}
+            res, combo = ref.insert(renamed, j if tagged else None)
+            if not tagged:
+                assert ech.add(col) == ((max(res), res[max(res)]) if res else None), j
+            elif res:
+                assert ech.add_tagged(col, j) is None, j
+            else:
+                vec = ech.add_tagged(col, j)
+                want = {j: 1}
+                for t, v in combo.items():
+                    want[t] = (want.get(t, 0) - v) % q
+                assert vec == {t: v for t, v in want.items() if v}, j
+                total = {}
+                for t, v in vec.items():
+                    for r, w in dict(cols[t]).items():
+                        total[r] = (total.get(r, 0) + v * w) % q
+                assert not any(total.values()), j
+            assert ech.rank == ref.rank
+        return ech
+
     rng = random.Random(29)
-    for trial in range(120):
+    for trial in range(160):
         q = (2, 2, 3, 5)[trial % 4]
         n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 60)
         density = rng.choice((0.05, 0.15, 0.4))
-        tagged = trial % 3 != 0
 
         def column():
             col = {r: rng.randrange(1, q) for r in range(n_rows) if rng.random() < density}
@@ -375,19 +400,15 @@ def test_column_echelon_matches_the_dict_reference():
             rng.shuffle(pairs)
             return pairs
 
-        ech, ref = ColumnEchelon(PrimeField(q)), ReferenceEchelon(q)
-        for j in range(n_cols):
-            if rng.random() < 0.1:
-                n = rng.randint(0, ech.rank)
-                ech.truncate(n)
-                ref.truncate(n)
-            col = column()
-            tag = j if tagged else None
-            assert ech.insert(col, tag) == ref.insert(col, tag), (trial, j)
-            assert ech.rank == ref.rank
-            target = column()
-            assert ech.reduce(target) == ref.reduce(target), (trial, j)
         cols = [column() for _ in range(n_cols)]
+        # truncate(n) with n at least the rank keeps everything, on both sides
+        truncations = {j: rng.randint(0, n_cols) for j in range(n_cols) if rng.random() < 0.1}
+        row_rank = None
+        if trial // 4 % 2:
+            order = list(range(n_rows))
+            rng.shuffle(order)
+            row_rank = {r: rank for rank, r in enumerate(order)}
+        check(q, cols, trial % 3 != 0, row_rank, truncations)
         plain = ReferenceEchelon(q)
         for col in cols:
             plain.insert(col)
@@ -488,6 +509,33 @@ def test_bench_layers_name_existing_functions():
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert layers
     assert missing == []
+
+
+def test_only_field_knows_the_f2_column_form():
+    # F_2 columns are bitsets inside field.ColumnEchelon only: no other
+    # module imports a private name of field, reaches a private member
+    # of an echelon, or branches on the field being F_2
+    src = Path(mpm.__file__).parent
+    ech = ColumnEchelon(PrimeField(2))
+    private = {n for n in [*vars(ColumnEchelon), *vars(ech)]
+               if n.startswith("_") and not n.startswith("__")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("field", "mpm.field")):
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                found.append((path.name, node.attr))
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(isinstance(n, ast.Attribute) and n.attr == "q" for n in sides)
+                        and any(isinstance(n, ast.Constant) and n.value == 2 for n in sides)):
+                    found.append((path.name, ast.unparse(node)))
+    assert private
+    assert found == []
 
 
 def test_reimport_frees_the_previous_library():
