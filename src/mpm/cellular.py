@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
 from .fpm import _preamble
-from .grades import (Grade, format_grade, grade_leq, grade_parser, join_all,
-                     rat, show_grade)
+from .grades import (Grade, format_grade, grade_leq, grade_parser, rat,
+                     show_grade)
 from .presentation import Column, Presentation, labels
 
 
@@ -206,7 +206,7 @@ class _Elem:
 
 
 def _support_grade(vec: SparseCol, grades: Sequence[Grade]) -> Grade:
-    return join_all(grades[i] for i in vec)
+    return tuple(map(max, zip(*[grades[i] for i in vec])))
 
 
 def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
@@ -218,6 +218,13 @@ def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
     the binding coordinate), so the smaller-grade element stays and the
     other is reduced by it.  Reductions never change an element's grade
     (all bases of a free module share the same grade multiset).
+
+    The placed element is always the smaller one: both callers place
+    elements in _kernel_sweep's emission order, which is colex in
+    grade (sweeps run in ascending y, each in ascending x, and a first
+    death in sweep y has grade (x_j, y)).  An element that is <= a later
+    one in the product order and differs from it is colex-smaller, so it
+    was placed first; the later one is never strictly below it.
     """
     q = field.q
     while True:
@@ -233,11 +240,8 @@ def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
             col_axpy(elem.vec, factor, other.vec, q)
             if elem.vec and _support_grade(elem.vec, grades) != elem.grade:
                 raise ComputationError("lead reduction changed a basis grade")
-        elif grade_leq(elem.grade, other.grade):
-            by_lead[lead] = elem
-            elem = other
         else:
-            raise ComputationError("incomparable grades share a leading component")
+            raise ComputationError("leading component held by a grade not below the new one")
 
 
 def kernel_basis(gamma: Presentation) -> KernelBasis:
@@ -338,11 +342,11 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
 def grade_injections(gamma: Presentation, C: KernelBasis):
     """Injective maps j_x, j_y from kernel elements to domain basis indices.
 
-    j_y(c) is the colex leading component of c (its y-grade equals c's):
-    C.leads, as kernel_basis lead-reduces in colex order.  j_x mirrors it
-    with the coordinates swapped, on a copy of the basis lead-reduced in
-    lex order.  Returns (j_x, j_y) as tuples of domain indices parallel
-    to C.
+    C is kernel_basis(gamma), in its order.  j_y(c) is the colex leading
+    component of c (its y-grade equals c's): C.leads, as kernel_basis
+    lead-reduces in colex order.  j_x mirrors it with the coordinates
+    swapped, on a copy of the basis lead-reduced in lex order.  Returns
+    (j_x, j_y) as tuples of domain indices parallel to C.
     """
     if gamma.n_params != 2:
         raise DataError("grade injections are defined for 2-parameter morphisms")

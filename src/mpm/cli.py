@@ -6,7 +6,9 @@ print distances (``wasserstein``, ``labeldist``, ``matchdist`` and
 ``bounds``) print decimals with ``--digits`` significant digits (default
 12), rationals exactly under ``--exact``, and JSON under ``--json``;
 ``hilbert`` takes ``--json`` only.  The other commands print no number
-and take none of these flags.
+and take none of these flags.  Every flag value is checked as it is
+parsed, before any file is read; a bad one is a usage error that names
+the flag.
 """
 from __future__ import annotations
 
@@ -55,8 +57,8 @@ def _number(value, args):
     return format(float(value), f".{args.digits}g")
 
 
-def _print_distance(value, p, args):
-    print(json.dumps({"p": format_pexp(p), "distance": _number(value, args)}) if args.json
+def _print_distance(value, args):
+    print(json.dumps({"p": format_pexp(args.p), "distance": _number(value, args)}) if args.json
           else _number(value, args))
 
 
@@ -84,55 +86,35 @@ def _line_json(line):
     return {"v": v, "w": [float(c) for c in line.w]}
 
 
-def _digits(text: str) -> int:
-    """--digits: a number of significant digits from 1 to 50."""
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if not 1 <= digits <= 50:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 50, got {text!r}")
-    return digits
-
-
-def _eps(text: str) -> Fraction:
-    """--eps: a positive decimal or rational."""
-    try:
-        eps = rat(text)
-    except (ValueError, ZeroDivisionError):
-        eps = 0
-    if eps <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return eps
-
-
-def _prime(text: str) -> int:
-    """--field: a prime field order."""
-    try:
-        q = int(text)
-    except ValueError:
-        q = 0
-    if not is_prime(q):
-        raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
-    return q
-
-
-def _int_at_least(least: int):
-    """The argparse type of a count flag: an integer >= least."""
-    def count(text: str) -> int:
+def _arg(convert, expected: str, ok=lambda value: True):
+    """The argparse type of a value flag: convert(text), rejected with a
+    message naming the text when convert raises or ok(value) fails."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer of at least {least}, got {text!r}")
+            value = convert(text)
+            good = ok(value)
+        except (ValueError, ZeroDivisionError, DataError):
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
-    return count
+    return parse
+
+
+def _grade_spec(spec: str):
+    """--at: the grade "x,y" as typed and as exact coordinates."""
+    return spec, tuple(rat(tok.strip()) for tok in spec.split(","))
+
+
+_pexp = _arg(parse_pexp, "an exponent p >= 1 or inf")
+_eps = _arg(rat, "a positive number", lambda eps: eps > 0)
+_line = _arg(parse_line, 'a line "v1,v2;w1,w2" with v1, v2 > 0')
+_count = _arg(int, "an integer of at least 0", lambda n: n >= 0)
 
 
 def _add_number_output(sub):
-    sub.add_argument("--digits", type=_digits, default=12,
+    sub.add_argument("--digits", default=12,
+                     type=_arg(int, "an integer from 1 to 50", lambda d: 1 <= d <= 50),
                      help="significant digits for decimal output, 1 to 50 (default 12)")
     sub.add_argument("--exact", action="store_true",
                      help="print rational results exactly")
@@ -144,45 +126,45 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     w = subs.add_parser("wasserstein", help="p-Wasserstein distance of two .bc files")
-    w.add_argument("--p", required=True)
+    w.add_argument("--p", type=_pexp, required=True)
     w.add_argument("barcode_a")
     w.add_argument("barcode_b")
     _add_number_output(w)
 
     b = subs.add_parser("barcode", help="barcode of a module (along a line if 2-parameter)")
-    b.add_argument("--line", help='admissible line "v1,v2;w1,w2"')
+    b.add_argument("--line", type=_line, help='admissible line "v1,v2;w1,w2"')
     b.add_argument("module")
     b.add_argument("-o", "--output")
 
     r = subs.add_parser("restrict", help="restrict a 2-parameter module to a line")
-    r.add_argument("--line", required=True)
+    r.add_argument("--line", type=_line, required=True)
     r.add_argument("module")
     r.add_argument("-o", "--output")
 
     m = subs.add_parser("matchdist", help="certified p-matching distance approximation")
-    m.add_argument("--p", required=True)
+    m.add_argument("--p", type=_pexp, required=True)
     m.add_argument("--eps", type=_eps, required=True)
-    m.add_argument("--max-depth", type=_int_at_least(0), default=60,
+    m.add_argument("--max-depth", type=_count, default=60,
                    help="subdivision depth limit (default 60)")
     m.add_argument("module_a")
     m.add_argument("module_b")
     _add_number_output(m)
 
     l = subs.add_parser("labeldist", help="label lp-distance of same-matrix presentations")
-    l.add_argument("--p", required=True)
+    l.add_argument("--p", type=_pexp, required=True)
     l.add_argument("module_a")
     l.add_argument("module_b")
     _add_number_output(l)
 
     bo = subs.add_parser("bounds", help="lower/upper bounds for the presentation distance")
-    bo.add_argument("--p", required=True)
+    bo.add_argument("--p", type=_pexp, required=True)
     bo.add_argument("--eps", type=_eps, required=True)
     bo.add_argument("module_a")
     bo.add_argument("module_b")
     _add_number_output(bo)
 
     h = subs.add_parser("homology", help="presentation of the degree-j homology of a .cwf")
-    h.add_argument("--deg", type=_int_at_least(0), required=True)
+    h.add_argument("--deg", type=_count, required=True)
     h.add_argument("complex")
     h.add_argument("-o", "--output")
 
@@ -192,7 +174,8 @@ def build_parser() -> _Parser:
     lf.add_argument("-o", "--output-prefix", required=True)
 
     hi = subs.add_parser("hilbert", help="Hilbert function values of a module")
-    hi.add_argument("--at", action="append", required=True,
+    hi.add_argument("--at", type=_arg(_grade_spec, "a grade of comma-separated numbers"),
+                    action="append", required=True,
                     help='grade "x,y" (repeatable)')
     hi.add_argument("module")
     hi.add_argument("--json", action="store_true", help="machine-readable output")
@@ -201,20 +184,26 @@ def build_parser() -> _Parser:
     g.add_argument("kind", choices=["presentation", "pair", "complex", "barcode"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--params", type=int, choices=(1, 2), default=2)
-    g.add_argument("--field", type=_prime, default=2)
-    g.add_argument("--rows", type=_int_at_least(1), default=4)
-    g.add_argument("--cols", type=_int_at_least(0), default=4)
-    g.add_argument("--vertices", type=_int_at_least(0), default=8)
-    g.add_argument("--bars", type=_int_at_least(0), default=6)
+    g.add_argument("--field", type=_arg(int, "a prime", is_prime), default=2)
+    g.add_argument("--rows", type=_arg(int, "an integer of at least 1", lambda n: n >= 1),
+                   default=4)
+    g.add_argument("--cols", type=_count, default=4)
+    g.add_argument("--vertices", type=_count, default=8)
+    g.add_argument("--bars", type=_count, default=6)
     g.add_argument("-o", "--output-prefix")
     return parser
 
 
+def _read_pair(args):
+    """The presentations in the files module_a and module_b."""
+    return (parse_presentation(_read(args.module_a)),
+            parse_presentation(_read(args.module_b)))
+
+
 def _cmd_wasserstein(args) -> int:
-    p = parse_pexp(args.p)
     B = parse_barcode(_read(args.barcode_a))
     C = parse_barcode(_read(args.barcode_b))
-    _print_distance(wasserstein(B, C, p), p, args)
+    _print_distance(wasserstein(B, C, args.p), args)
     return 0
 
 
@@ -223,7 +212,7 @@ def _cmd_barcode(args) -> int:
     if P.n_params == 2:
         if not args.line:
             raise DataError("a 2-parameter module needs --line")
-        bc = barcode_along_line(P, parse_line(args.line))
+        bc = barcode_along_line(P, args.line)
     else:
         if args.line:
             raise DataError("--line applies only to 2-parameter modules")
@@ -234,18 +223,16 @@ def _cmd_barcode(args) -> int:
 
 def _cmd_restrict(args) -> int:
     P = parse_presentation(_read(args.module))
-    out = restrict_presentation(P, parse_line(args.line))
+    out = restrict_presentation(P, args.line)
     _write_out(serialize_presentation(out), args.output)
     return 0
 
 
 def _cmd_matchdist(args) -> int:
-    p = parse_pexp(args.p)
-    A = parse_presentation(_read(args.module_a))
-    B = parse_presentation(_read(args.module_b))
+    A, B = _read_pair(args)
     failure = None
     try:
-        report = approx_matching_distance(A, B, p, args.eps, max_depth=args.max_depth)
+        report = approx_matching_distance(A, B, args.p, args.eps, max_depth=args.max_depth)
     except SubdivisionLimitError as exc:
         report, failure = exc.report, exc
     lower, upper = _number(report.lower, args), _number(report.upper, args)
@@ -265,21 +252,17 @@ def _cmd_matchdist(args) -> int:
 
 
 def _cmd_labeldist(args) -> int:
-    p = parse_pexp(args.p)
-    A = parse_presentation(_read(args.module_a))
-    B = parse_presentation(_read(args.module_b))
-    _print_distance(label_distance(PairedPresentations(A, B), p), p, args)
+    A, B = _read_pair(args)
+    _print_distance(label_distance(PairedPresentations(A, B), args.p), args)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    p = parse_pexp(args.p)
-    A = parse_presentation(_read(args.module_a))
-    B = parse_presentation(_read(args.module_b))
-    rep = bounds(A, B, p, args.eps)
+    A, B = _read_pair(args)
+    rep = bounds(A, B, args.p, args.eps)
     lower, upper = _number(rep.lower, args), _number(rep.upper, args)
     if args.json:
-        print(json.dumps({"p": format_pexp(p), "epsilon": float(args.eps),
+        print(json.dumps({"p": format_pexp(args.p), "epsilon": float(args.eps),
                           "lower": lower, "upper": upper,
                           "provenance": list(rep.provenance)}))
     else:
@@ -295,9 +278,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    A = parse_presentation(_read(args.module_a))
-    B = parse_presentation(_read(args.module_b))
-    X, f, g = lift_presentations(A, B)
+    X, f, g = lift_presentations(*_read_pair(args))
     _write_out(serialize_complex(X), f"{args.output_prefix}.f.cwf")
     _write_out(serialize_complex(X.with_grades(g)), f"{args.output_prefix}.g.cwf")
     print(f"wrote {args.output_prefix}.f.cwf and {args.output_prefix}.g.cwf")
@@ -307,8 +288,7 @@ def _cmd_lift(args) -> int:
 def _cmd_hilbert(args) -> int:
     P = parse_presentation(_read(args.module))
     rows = []
-    for spec in args.at:
-        coords = tuple(rat(tok.strip()) for tok in spec.split(","))
+    for spec, coords in args.at:
         if len(coords) != P.n_params:
             raise DataError(f"grade {spec!r} does not have {P.n_params} coordinates")
         rows.append((spec, hilbert_dim(P, coords)))
@@ -376,10 +356,6 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError) as exc:
-        # malformed flag values (--p, --at grades)
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

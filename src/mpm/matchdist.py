@@ -41,11 +41,10 @@ both candidate splits are bounded in one batch over the labels of both
 modules.  Off the seams (_split_bounds) that takes 10 pushes: the 4
 child centers, the parent's two extreme corners, which were pushed
 before when the parent itself was bounded, and two points on each cut.
-The root and the few seam boxes go through _deviations, which pushes
-each distinct chart point of the batch once.  The pushes at the chosen
-children's centers then give their per-line values without pushing
-again.  The pivot pairing of each module is memoized by (row order,
-column order) for the duration of one call (barcode_pairs).
+The root and the few seam boxes go through _deviations.  The pushes at
+the chosen children's centers then give their per-line values without
+pushing again.  The pivot pairing of each module is memoized by (row
+order, column order) for the duration of one call (barcode_pairs).
 """
 from __future__ import annotations
 
@@ -173,9 +172,6 @@ def _deviations(label_vec, boxes) -> list:
     center, and per label the sup over the box of |push - push at the
     center|.
 
-    Each distinct chart point, keyed by its (s, mu), is pushed once for
-    all the boxes of a call, so boxes that share corners share pushes.
-
     Where the extremes sit: write the push as max(T1, T2) with
     T1 = kx (ax - wx) and T2 = ky (ay - wy), where kx, ky >= 0.  For
     fixed mu, (wx, wy) is (0, -s) for s < 0 and (s, 0) for s >= 0, so T1
@@ -210,31 +206,23 @@ def _deviations(label_vec, boxes) -> list:
     {sl, sh} x mu-cuts.
     """
     zero = type(boxes[0][0])(0)
-    pushed = {}
-
-    def at(s, mu):
-        vec = pushed.get((s, mu))
-        if vec is None:
-            vec = pushed[s, mu] = _push_at(label_vec, s, mu)
-        return vec
-
     out = []
     for sl, sh, ml, mh in boxes:
-        center = at((sl + sh) / 2, (ml + mh) / 2)
+        center = _push_at(label_vec, (sl + sh) / 2, (ml + mh) / 2)
         if sl < zero < sh or ml < zero < mh:
             mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
-            grid = [at(s, mu) for s in (sl, sh) for mu in mu_cuts]
+            grid = [_push_at(label_vec, s, mu) for s in (sl, sh) for mu in mu_cuts]
             # max(hi - c, c - lo) written out, as in _pushes
             devs = [y if (y := c - lo) > (x := hi - c) else x
                     for c, hi, lo in zip(center, map(max, center, *grid),
                                          map(min, center, *grid))]
         else:
             near, far = (sl, sh) if sl >= zero else (sh, sl)
+            corners = [_push_at(label_vec, s, mu) for s in (near, far) for mu in (ml, mh)]
             # hi = max(a, b) on the near edge, lo = min(d, e) on the far one
             devs = [x if (x := (a if a > b else b) - c) > (y := c - (d if d < e else e))
                     else y + zero
-                    for c, a, b, d, e in zip(center, at(near, ml), at(near, mh),
-                                             at(far, ml), at(far, mh))]
+                    for c, a, b, d, e in zip(center, *corners)]
         out.append((center, devs))
     return out
 

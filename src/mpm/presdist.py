@@ -32,6 +32,8 @@ class PairedPresentations:
     def __post_init__(self):
         if self.first.field != self.second.field:
             raise DataError("paired presentations must share the coefficient field")
+        if self.first.n_params != self.second.n_params:
+            raise DataError("paired presentations must have the same parameter count")
         if not self.first.underlying_equal(self.second):
             raise DataError("paired presentations must share the underlying matrix")
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -146,6 +147,16 @@ def test_labeldist_rejects_different_matrices(files, capsys, tmp_path):
     other = tmp_path / "o.fpm"
     other.write_text("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols 0\n")
     assert main(["labeldist", "--p", "1", files["f.fpm"], str(other)]) == 2
+
+
+def test_labeldist_rejects_different_parameter_counts(files, capsys, tmp_path):
+    # the matrix of f.fpm under 1-parameter labels is a data error (exit 2)
+    one = tmp_path / "one.fpm"
+    one.write_text("fpm 1\nfield 2\nparams 1\nrows 2\n0\n0\n"
+                   "cols 3\n1 : 1 1\n3 : 1 1\n4 : 1 1\n")
+    for pair in ([str(one), files["f.fpm"]], [files["f.fpm"], str(one)]):
+        assert main(["labeldist", "--p", "1"] + pair) == 2
+        assert capsys.readouterr().err.startswith("data error")
 
 
 def test_bounds_json(files, capsys):
@@ -331,3 +342,46 @@ def test_bad_counts_are_usage_errors(files, capsys):
                                  (["gen", "complex"], "--field", "3")):
         assert main(command + [flag, least]) == 0, (flag, least)
         capsys.readouterr()
+
+
+def test_bad_p_at_and_line_are_usage_errors(files, capsys, tmp_path):
+    # --p, --at and --line are checked as they are parsed: a bad value is
+    # a usage error (exit 1) naming the flag, reported before any input
+    # file is read, so a missing file does not mask it
+    f, bc = files["f.fpm"], files["a.bc"]
+    cases = [(["wasserstein", "--p", bad, bc, bc], "--p") for bad in ("1/2", "abc", "1/0")]
+    for command, eps in (("labeldist", []), ("matchdist", ["--eps", "0.1"]),
+                         ("bounds", ["--eps", "0.1"])):
+        cases += [([command, "--p", bad] + eps + [f, f], "--p")
+                  for bad in ("1/2", "abc", "1/0")]
+    cases += [(["hilbert", "--at", "1,x", f], "--at"),
+              (["hilbert", "--at", "2,2", "--at", "1/0,1", f], "--at"),
+              (["hilbert", "--at", "1,x", str(tmp_path / "missing.fpm")], "--at"),
+              (["barcode", "--line", "junk", f], "--line"),
+              (["restrict", "--line", "junk", f], "--line"),
+              (["restrict", "--line", "0,1;0,0", f], "--line")]
+    for argv, flag in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and flag in err, (argv, err)
+
+
+def test_every_value_flag_has_a_type():
+    # each option that takes a value is checked by its argparse type;
+    # only the -o output paths are taken as typed
+    parser = build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.option_strings and action.nargs != 0 and "-o" not in action.option_strings:
+                assert action.type is not None, (command, action.option_strings)
+
+
+def test_library_value_errors_are_not_usage_errors(files, monkeypatch):
+    # main reports only its own error types; a ValueError from the
+    # library is a fault and propagates
+    def broken(*args):
+        raise ValueError("library fault")
+    monkeypatch.setattr("mpm.cli.wasserstein", broken)
+    with pytest.raises(ValueError, match="library fault"):
+        main(["wasserstein", "--p", "1", files["a.bc"], files["b.bc"]])

@@ -43,6 +43,15 @@ def test_paired_presentations_require_same_matrix(pres_f, pres_g, h1_f):
         PairedPresentations(pres_f, h1_f)
 
 
+def test_paired_presentations_require_same_parameter_count():
+    # the same 1x1 matrix under 1- and 2-parameter labels is no pair
+    one = Presentation(F2, 1, ((0,),), ((1,),), (((0, 1),),))
+    two = Presentation(F2, 2, ((0, 0),), ((1, 1),), (((0, 1),),))
+    for first, second in ((one, two), (two, one)):
+        with pytest.raises(DataError, match="parameter count"):
+            PairedPresentations(first, second)
+
+
 def test_pad_and_pair_free_modules():
     pp = pad_and_pair(q_free(0, 0), q_free(10, 10))
     assert label_distance(pp, 1) == 20
