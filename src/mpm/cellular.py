@@ -19,6 +19,11 @@ homology_presentation reads the coordinates of each (j+1)-boundary in
 the kernel basis of the j-th boundary map off the basis's distinct
 colex leads, by division on the sweep's colex order: no second echelon
 re-reduces the basis.
+
+Each kernel vector keeps one form, the dict that
+ColumnEchelon.add_tagged returns, through lead reduction and the
+division; only kernel_basis freezes the vectors into the sorted tuples
+of a KernelBasis.
 """
 from __future__ import annotations
 
@@ -127,7 +132,7 @@ class FilteredComplex:
 
         Every proper face of a listed simplex must be listed too.
         """
-        def cid(vs) -> str:
+        def name(vs) -> str:
             return "-".join(str(v) for v in vs)
 
         keyed = {tuple(sorted(vs)): grade for vs, grade in simplices.items()}
@@ -135,15 +140,15 @@ class FilteredComplex:
         boundary = {}
         for vs in sorted(keyed, key=lambda t: (len(t), t)):
             dim = len(vs) - 1
-            cells.append((cid(vs), dim, keyed[vs]))
+            cells.append((name(vs), dim, keyed[vs]))
             faces = []
             if dim > 0:
                 for i in range(len(vs)):
                     face = vs[:i] + vs[i + 1:]
                     if face not in keyed:
                         raise DataError(f"missing face {face} of simplex {vs}")
-                    faces.append((cid(face), (-1) ** i % field.q))
-            boundary[cid(vs)] = faces
+                    faces.append((name(face), (-1) ** i % field.q))
+            boundary[name(vs)] = faces
         return FilteredComplex(field, n_params, cells, boundary)
 
 
@@ -197,51 +202,46 @@ class KernelBasis:
         return len(self.columns)
 
 
-class _Elem:
-    __slots__ = ("vec", "grade")
-
-    def __init__(self, vec: SparseCol, grade: Grade):
-        self.vec = vec
-        self.grade = grade
-
-
 def _support_grade(vec: SparseCol, grades: Sequence[Grade]) -> Grade:
     return tuple(map(max, zip(*[grades[i] for i in vec])))
 
 
-def _place_distinct_lead(elem: _Elem, by_lead: dict[int, _Elem],
+def _place_distinct_lead(vec: SparseCol, grade: Grade,
+                         by_lead: dict[int, tuple[SparseCol, Grade]],
                          rank: Mapping[int, int], grades: Sequence[Grade],
-                         field: PrimeField) -> None:
-    """Insert elem keeping leading components pairwise distinct.
+                         field: PrimeField) -> int:
+    """Reduce vec in place until its lead is free in by_lead, place
+    (vec, grade) there and return that lead.
 
     Conflicting leads always have comparable grades (their lead shares
-    the binding coordinate), so the smaller-grade element stays and the
-    other is reduced by it.  Reductions never change an element's grade
+    the binding coordinate), so the smaller-grade vector stays and the
+    other is reduced by it.  Reductions never change a vector's grade
     (all bases of a free module share the same grade multiset).
 
-    The placed element is always the smaller one: both callers place
-    elements in _kernel_sweep's emission order, which is colex in
-    grade (sweeps run in ascending y, each in ascending x, and a first
-    death in sweep y has grade (x_j, y)).  An element that is <= a later
-    one in the product order and differs from it is colex-smaller, so it
-    was placed first; the later one is never strictly below it.
+    The placed vector is always the smaller one: both callers place
+    vectors in _kernel_sweep's emission order, which is colex in grade
+    (sweeps run in ascending y, each in ascending x, and a first death
+    in sweep y has grade (x_j, y)).  A vector that is <= a later one in
+    the product order and differs from it is colex-smaller, so it was
+    placed first; the later one is never strictly below it.  So a placed
+    vector is never displaced or changed, and the returned lead is
+    final.
     """
     q = field.q
     while True:
-        if not elem.vec:
+        if not vec:
             raise ComputationError("basis element reduced to zero")
-        lead = max(elem.vec, key=lambda t: rank[t])
-        other = by_lead.get(lead)
-        if other is None:
-            by_lead[lead] = elem
-            return
-        if grade_leq(other.grade, elem.grade):
-            factor = elem.vec[lead] * field.inv(other.vec[lead]) % q
-            col_axpy(elem.vec, factor, other.vec, q)
-            if elem.vec and _support_grade(elem.vec, grades) != elem.grade:
-                raise ComputationError("lead reduction changed a basis grade")
-        else:
+        lead = max(vec, key=rank.__getitem__)
+        held = by_lead.get(lead)
+        if held is None:
+            by_lead[lead] = (vec, grade)
+            return lead
+        other, other_grade = held
+        if not grade_leq(other_grade, grade):
             raise ComputationError("leading component held by a grade not below the new one")
+        col_axpy(vec, vec[lead] * field.inv(other[lead]) % q, other, q)
+        if vec and _support_grade(vec, grades) != grade:
+            raise ComputationError("lead reduction changed a basis grade")
 
 
 def kernel_basis(gamma: Presentation) -> KernelBasis:
@@ -269,7 +269,9 @@ def kernel_basis(gamma: Presentation) -> KernelBasis:
         by induction on the end, leaves 0.
 
     Each kept syzygy is lead-reduced in colex order (reversed grade,
-    then index) as it is found; leads[i] is its colex lead.
+    then index) as it is found; leads[i] is its colex lead.  The sweep
+    keeps the syzygies as the echelon's dicts, and only this function
+    freezes them into the KernelBasis's sorted tuples.
 
     Two things make the sweeps cheap without changing any output:
 
@@ -292,14 +294,17 @@ def kernel_basis(gamma: Presentation) -> KernelBasis:
         entries, and the sweep keeps them and reduces only from its
         first new column on.
     """
-    return _kernel_sweep(gamma.field, gamma.n_params, gamma.col_labels,
-                         gamma.columns)[0]
+    grades, leads, vecs, _ = _kernel_sweep(gamma.field, gamma.n_params,
+                                           gamma.col_labels, gamma.columns)
+    return KernelBasis(tuple(grades), tuple(tuple(sorted(v.items())) for v in vecs),
+                       tuple(leads))
 
 
 def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
-                  cols: Sequence[SparseCol]) -> tuple[KernelBasis, dict[int, int]]:
-    """kernel_basis on column grades dg and columns cols, unchecked,
-    and the colex rank of every column index (the order of its leads)."""
+                  cols: Sequence[SparseCol]):
+    """kernel_basis on column grades dg and columns cols, unchecked, as
+    lists of the grades, the colex leads and the vectors as dicts, and
+    the colex rank of every column index (the order of its leads)."""
     k = len(dg)
     values = [sorted({g[c] for g in dg}) for c in range(n_params)]
     ranks = [{v: r for r, v in enumerate(vs)} for vs in values]
@@ -312,8 +317,10 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
     for pos, i in enumerate(x_order):
         first_new.setdefault(y_of[i], pos)
 
-    emitted: list[_Elem] = []
-    by_lead: dict[int, _Elem] = {}
+    grades: list[Grade] = []
+    leads: list[int] = []
+    vecs: list[SparseCol] = []
+    by_lead: dict[int, tuple[SparseCol, Grade]] = {}
     dead: set[int] = set()
     ech = ColumnEchelon(field)
     entry_pos: list[int] = []  # x-order position behind each echelon entry
@@ -329,14 +336,11 @@ def _kernel_sweep(field: PrimeField, n_params: int, dg: Sequence[Grade],
                 entry_pos.append(pos)
                 continue
             dead.add(i)
-            elem = _Elem(vec, _support_grade(vec, rg))
-            _place_distinct_lead(elem, by_lead, rank, rg, field)
-            emitted.append(elem)
-    lead_of = {id(e): lead for lead, e in by_lead.items()}
-    return KernelBasis(
-        tuple(tuple(vs[r] for vs, r in zip(values, e.grade)) for e in emitted),
-        tuple(tuple(sorted(e.vec.items())) for e in emitted),
-        tuple(lead_of[id(e)] for e in emitted)), rank
+            g = _support_grade(vec, rg)
+            leads.append(_place_distinct_lead(vec, g, by_lead, rank, rg, field))
+            vecs.append(vec)
+            grades.append(tuple(vs[r] for vs, r in zip(values, g)))
+    return grades, leads, vecs, rank
 
 
 def grade_injections(gamma: Presentation, C: KernelBasis):
@@ -352,12 +356,9 @@ def grade_injections(gamma: Presentation, C: KernelBasis):
         raise DataError("grade injections are defined for 2-parameter morphisms")
     dg = gamma.col_labels
     rank = {i: r for r, i in enumerate(sorted(range(len(dg)), key=lambda i: (dg[i], i)))}
-    entries = [_Elem(dict(col), grade) for col, grade in zip(C.columns, C.grades)]
-    by_lead: dict[int, _Elem] = {}
-    for e in entries:
-        _place_distinct_lead(e, by_lead, rank, dg, gamma.field)
-    lead_of = {id(e): lead for lead, e in by_lead.items()}
-    j_x = tuple(lead_of[id(e)] for e in entries)
+    by_lead: dict[int, tuple[SparseCol, Grade]] = {}
+    j_x = tuple(_place_distinct_lead(dict(col), grade, by_lead, rank, dg, gamma.field)
+                for col, grade in zip(C.columns, C.grades))
     for leads, coord in ((C.leads, 1), (j_x, 0)):
         if any(dg[lead][coord] != grade[coord] for lead, grade in zip(leads, C.grades)):
             raise ComputationError("leading component misses the binding coordinate")
@@ -392,6 +393,9 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
         largest entry is no lead would lie outside the span, and
         raises ComputationError.
 
+    K's vectors are the sweep's dicts, used as they are: the division
+    reads them and consumes only b.
+
     The two boundary matrices are not built as checked Presentations:
     FilteredComplex has already checked face <= cell for every entry,
     which is their label order.  The result gets the full check.
@@ -399,8 +403,8 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
     if j < 0:
         raise DataError("homology degree must be nonnegative")
     _, dg, cols = _boundary_columns(X, j)
-    K, rank = _kernel_sweep(X.field, X.n_params, dg, cols)
-    by_lead = {t: (i, dict(col)) for i, (t, col) in enumerate(zip(K.leads, K.columns))}
+    grades, leads, vecs, rank = _kernel_sweep(X.field, X.n_params, dg, cols)
+    by_lead = {t: (i, k_i) for i, (t, k_i) in enumerate(zip(leads, vecs))}
     _, up_grades, up_cols = _boundary_columns(X, j + 1)
     columns = []
     for b in up_cols:  # fresh dicts, consumed by the division
@@ -413,7 +417,7 @@ def homology_presentation(X: FilteredComplex, j: int) -> Presentation:
             coords[i] = c = b[t] * X.field.inv(k_i[t]) % X.field.q
             col_axpy(b, c, k_i, X.field.q)
         columns.append(coords)
-    return Presentation(X.field, X.n_params, K.grades, up_grades, columns)
+    return Presentation(X.field, X.n_params, grades, up_grades, columns)
 
 
 def lift_presentations(P_M: Presentation, P_N: Presentation):

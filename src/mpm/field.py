@@ -138,14 +138,7 @@ class ColumnEchelon:
         if self._bits:
             expr = combo ^ (1 << tag)
         else:
-            q = self.field.q
-            expr = {tag: 1}
-            for t, v in combo.items():
-                w = (expr.get(t, 0) - v) % q
-                if w:
-                    expr[t] = w
-                else:
-                    expr.pop(t, None)
+            expr = col_axpy({tag: 1}, 1, combo, self.field.q)
         if res:
             self._table[res.bit_length() - 1 if self._bits else max(res)] = (res, expr)
             self.rank += 1
@@ -192,12 +185,7 @@ class ColumnEchelon:
             factor = res[piv] * inv(ecol[piv]) % q
             col_axpy(res, factor, ecol, q)
             if eexpr:
-                for tag, v in eexpr.items():
-                    w = (combo.get(tag, 0) + factor * v) % q
-                    if w:
-                        combo[tag] = w
-                    else:
-                        combo.pop(tag, None)
+                col_axpy(combo, -factor, eexpr, q)
         return res, combo
 
     def truncate(self, n: int) -> None:

@@ -10,10 +10,9 @@ all admissible lines.
 
 The push of a fixed grade does not decrease in s on s <= 0 and does not
 increase on s >= 0, and is monotone in mu on each side of mu = 0.  So
-on a box off both seams each label's max over the box is at one of the
-two corners on the s-edge nearer to s = 0 and its min at one of the two
-on the far s-edge; only boxes that straddle s = 0 or mu = 0 scan the
-grid {s_lo, s_hi} x {mu_lo, (0,) mu_hi} (proof at _deviations).  For
+each label's extremes over a box of any sign lie on the grid
+{s_lo, s_hi} x {mu_lo, (0,) mu_hi}, with the cut at mu = 0 only on a
+box that straddles it; _deviations scans that grid (proof there).  For
 labels >= 0, as in the search, which translates them into [0, C]^2,
 the push does not increase as |mu| grows either, so the max is at the
 one corner nearest (s, mu) = (0, 0) and the min at the farthest one
@@ -184,45 +183,30 @@ def _deviations(label_vec, boxes) -> list:
     mu on each side of mu = 0 (kx = 1 + mu below, ky = 1 - mu above),
     hence monotone on each side, for floats as well.
 
-    Off the seams (sl >= 0 or sh <= 0, and ml >= 0 or mh <= 0), call
-    the s-edge nearer to s = 0 (sl when sl >= 0, sh when sh <= 0) near
-    and the other far.  At every mu the push on the near edge is the
-    max over [sl, sh] and the push on the far edge the min; along each
-    edge the push is monotone in mu.  So each label's max over the box
-    is the larger of its two near-corner pushes and its min the smaller
-    of its two far-corner pushes.  The center lies in the box, so its
-    push lies between the two and cannot change max(hi - c, c - lo): it
-    is left out of both.  The deviation is never -0.0 (a tie returns
-    (c - lo) + 0), nor is the scan's, so it equals, bit for bit, what
-    the grid scan below gives on the same box.
-
-    On a seam box the push is not monotone in s or in mu across the
-    seam, so there the grid is scanned, with the center.  When
-    sl < 0 < sh, each term takes its max over [sl, sh] at an endpoint,
-    so the sup is the larger endpoint push, and the push at s = 0 is
-    max(T1(sl), T2(sh)), which is at least both endpoint pushes, so the
-    inf is at an endpoint as well: no cut at s = 0 is needed.  When
-    ml < 0 < mh, the extremes sit at ml, mh or mu = 0.  The grid is
-    {sl, sh} x mu-cuts.
+    So at every mu the push's extremes over [sl, sh] are at sl and sh.
+    Off the s-seam (sl >= 0 or sh <= 0) the push is monotone in s.
+    When sl < 0 < sh, each term takes its max over [sl, sh] at an
+    endpoint, so the sup is the larger endpoint push, and the push at
+    s = 0 is max(T1(sl), T2(sh)), which is at least both endpoint
+    pushes, so the inf is at an endpoint as well: no cut at s = 0 is
+    needed.  Along each s-edge the push is monotone in mu on each side
+    of mu = 0, so its extremes there are at ml, mh or, when
+    ml < 0 < mh, mu = 0.  The grid {sl, sh} x mu-cuts so holds each
+    label's max and min over the box, for labels of any sign.  It is
+    scanned with the center, which lies in the box and so changes
+    neither extreme in value; max and min return the center itself on
+    a tie, so hi - c and c - lo are never -0.0.
     """
     zero = type(boxes[0][0])(0)
     out = []
     for sl, sh, ml, mh in boxes:
         center = _push_at(label_vec, (sl + sh) / 2, (ml + mh) / 2)
-        if sl < zero < sh or ml < zero < mh:
-            mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
-            grid = [_push_at(label_vec, s, mu) for s in (sl, sh) for mu in mu_cuts]
-            # max(hi - c, c - lo) written out, as in _pushes
-            devs = [y if (y := c - lo) > (x := hi - c) else x
-                    for c, hi, lo in zip(center, map(max, center, *grid),
-                                         map(min, center, *grid))]
-        else:
-            near, far = (sl, sh) if sl >= zero else (sh, sl)
-            corners = [_push_at(label_vec, s, mu) for s in (near, far) for mu in (ml, mh)]
-            # hi = max(a, b) on the near edge, lo = min(d, e) on the far one
-            devs = [x if (x := (a if a > b else b) - c) > (y := c - (d if d < e else e))
-                    else y + zero
-                    for c, a, b, d, e in zip(center, *corners)]
+        mu_cuts = (ml, zero, mh) if ml < zero < mh else (ml, mh)
+        grid = [_push_at(label_vec, s, mu) for s in (sl, sh) for mu in mu_cuts]
+        # max(hi - c, c - lo) written out, as in _pushes
+        devs = [y if (y := c - lo) > (x := hi - c) else x
+                for c, hi, lo in zip(center, map(max, center, *grid),
+                                     map(min, center, *grid))]
         out.append((center, devs))
     return out
 
@@ -350,7 +334,8 @@ def _split_bounds(M: _ModuleData, N: _ModuleData, box: tuple,
     (sl, cs, ml, mh), (cs, sh, ml, mh), (sl, sh, ml, cm) and
     (sl, sh, cm, mh), in that order, and the result equals
     _box_bounds on them bit for bit.  It takes 10 pushes, the 4 child
-    centers and 6 extreme corners, where _deviations takes 12.
+    centers and 6 extreme corners, where _deviations takes 20 at 12
+    distinct points.
 
     The two-corner rule.  On each axis call the end of the box's range
     nearer to 0 near (sl when sl >= 0, else sh; likewise for mu) and
@@ -374,21 +359,22 @@ def _split_bounds(M: _ModuleData, N: _ModuleData, box: tuple,
       are no exception.
     So the push does not increase as |s| or |mu| grows, and in value
     each label's max over the box is its push at (near s, near mu) and
-    its min its push at (far s, far mu).  These are the larger of
-    _deviations' two near-edge corner pushes and the smaller of its two
-    far-edge ones, up to the sign of a zero.  A zero's sign leaves the
-    deviation's bits alone: hi - c and c - lo are >= 0, a zero one
-    never wins x > y, and y + 0.0 is +0.0 for either zero.
+    its min its push at (far s, far mu).  Both corners are on the grid
+    that _deviations scans, so these equal its hi and lo in value, up
+    to the sign of a zero.  A zero's sign leaves the deviation's bits
+    alone: hi - c and c - lo are >= 0, a zero one never wins x > y, and
+    y + 0.0 is +0.0 for either zero, as _deviations' deviation is never
+    -0.0 either.
 
     The near child of each split keeps the parent's near corner and has
     its far corner on the cut; the far child has its near corner on the
     cut and keeps the parent's far corner.  So (near, near) and
     (far, far) serve two children each.  The centers are pushed at the
-    floats _deviations uses, and the deviations and bounds are built by
-    the same expressions, so every bit matches.  With a label below 0
-    the rule fails (a push can then be least inside a mu range), which
-    is why _deviations keeps four corners for label_deviation and
-    local_bound, whose labels may have either sign.
+    floats _deviations uses, and the bounds are built by the same
+    expressions, so every bit matches.  With a label below 0 the rule
+    fails (a push can then be least inside a mu range), which is why
+    _deviations scans the grid for label_deviation and local_bound,
+    whose labels may have either sign.
     """
     sl, sh, ml, mh = box
     cs, cm = (sl + sh) / 2, (ml + mh) / 2

@@ -19,9 +19,9 @@ import mpm
 from mpm import (Barcode, DataError, Matching, PairedPresentations, ParseError,
                  PrimeField, Presentation, free_presentation, grade_join, grade_leq,
                  hilbert_dim, label_distance, label_distance_power, labels,
-                 matching_cost, matching_cost_power, parse_complex, parse_presentation,
-                 rank_invariant, rat, serialize_presentation, vec_pnorm,
-                 vec_pnorm_power, wasserstein, wasserstein_power)
+                 matching_cost, matching_cost_power, parse_barcode, parse_complex,
+                 parse_presentation, rank_invariant, rat, serialize_presentation,
+                 vec_pnorm, vec_pnorm_power, wasserstein, wasserstein_power)
 from mpm.field import ColumnEchelon, column_rank, is_prime
 from mpm.fixtures import random_barcode, random_paired_presentations, random_presentation
 from mpm.grades import format_rat, is_inf, lp_root, pth_root
@@ -218,6 +218,46 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows -2\ncols 0\n")
     with pytest.raises(ParseError, match="line 6: cols must be >= 0, got -1"):
         parse_presentation("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols -1\n")
+
+
+FPM_HEAD = "fpm 1\nfield 3\nparams 2\nrows 2\n0 0\n1 1\ncols 1\n"
+CWF_HEAD = "cwf 1\nfield 3\nparams 2\nv 0 0 0 :\nw 0 1 0 :\n"
+PARSE_ERRORS = [  # (parser, text, message pattern, line)
+    (parse_presentation, FPM_HEAD + "1 x : 0 1\n", r".*'x'", 8),
+    (parse_presentation, FPM_HEAD + "1 1 : 0 1 1\n",
+     r"column entries must be '<row-index> <coeff>' pairs", 8),
+    (parse_presentation, FPM_HEAD + "1 1 : 0 a\n", r"bad entry pair '0' 'a'", 8),
+    (parse_presentation, FPM_HEAD + "1 1 : 2 1\n", r"row index 2 out of range", 8),
+    (parse_presentation, FPM_HEAD + "1 1 : 0 1 0 2\n", r"duplicate row index 0", 8),
+    (parse_presentation, FPM_HEAD + "1 1 : 0 1\n\nextra\n", r"trailing content 'extra'", 10),
+    (parse_presentation, FPM_HEAD + "0 1 : 1 1\n",
+     r"label order violated: entry \(1, 0\) has row label \(1, 1\) ≰ column label \(0, 1\)",
+     None),
+    (parse_presentation, "fpm 2\nfield 3\nparams 2\nrows 0\ncols 0\n",
+     r"expected 'fpm 1' header, got 'fpm 2'", 1),
+    (parse_barcode, "0 1\n1 2 3\n", r"expected '<birth> <death\|inf>', got '1 2 3'", 2),
+    (parse_barcode, "0 1\n\n1 two\n", r".*'two'", 3),
+    (parse_complex, CWF_HEAD + "e 1 1 : v 1 w 2\n",
+     r"expected '<id> <dim> <grade\.\.\.> : \.\.\.'", 6),
+    (parse_complex, CWF_HEAD + "e 1 1 0 : v 1 w\n",
+     r"boundary must be '<face-id> <coeff>' pairs", 6),
+    (parse_complex, CWF_HEAD + "e 1 1 0 : v 1 w two\n", r"bad coefficient 'two'", 6),
+    (parse_complex, CWF_HEAD + "e 1 1 0 : v 1 w 3\n", r"coefficient 3 outside the field F_3", 6),
+    (parse_complex, CWF_HEAD + "e 1 0 0 : v 1 w 2\n",
+     r"grades not monotone: face w at \(1, 0\) ≰ cell e at \(0, 0\)", None),
+]
+
+
+def test_parse_errors_name_their_line():
+    # every ParseError of the three parsers, by message and .line; the
+    # two errors raised by the Presentation and FilteredComplex
+    # constructors belong to no one line and carry line None
+    for parse, text, message, line in PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        prefix = "" if line is None else f"line {line}: "
+        assert re.fullmatch(prefix + message, str(info.value)), (text, str(info.value))
+        assert info.value.line == line, text
 
 
 CWF_TOKENS = """\

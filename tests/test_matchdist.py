@@ -222,11 +222,11 @@ def test_push_at_equals_chart_push_bit_for_bit():
 
 
 def test_box_deviations_match_full_grid():
-    # the box deviation reads each label's extremes off two corners per
-    # s-edge on boxes off the seams and scans the grid on seam boxes; both
-    # must give the full-grid sup, exactly on Fractions and bit for bit on
-    # floats, on boxes of every kind (s = 0 touched as 0.0 or -0.0, mu
-    # ranges reaching the limit lines) and labels of any sign
+    # the box deviation scans the grid {s_lo, s_hi} x mu-cuts with the
+    # center on every box, with no cut at s = 0; it must give the
+    # full-grid sup, exactly on Fractions and bit for bit on floats, on
+    # boxes of every kind (s = 0 touched as 0.0 or -0.0, mu ranges
+    # reaching the limit lines) and labels of any sign
     rng = random.Random(211)
     kinds = ("pos", "neg", "touch+", "touch-", "straddle", "point")
     hexed = lambda xs: [x.hex() for x in xs]
@@ -317,7 +317,7 @@ def test_two_corner_rule_needs_nonnegative_labels():
     # with a label below 0 the push can grow with |mu|: (0, -1) on
     # s in [1, 2], mu in [0, 1/2] pushes to max(-s, mu - 1), least at the
     # corner nearest (0, 0); the two corners undercut the grid there,
-    # which is why _deviations keeps four corners for any-sign labels
+    # which is why _deviations scans the grid for any-sign labels
     a = (F(0), F(-1))
     box = ParamBox(1, 2, 0, F(1, 2))
     at = lambda s, mu: push(line_of_param(LineParam(s, mu)), a)

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from mpm import (ChainError, DataError, PairedPresentations,
-                 PairingError, Presentation, PrimeField, bounds,
-                 chain_upper_bound,
-                 hilbert_dim, label_distance, label_distance_power,
-                 pad_and_pair)
+from mpm import (ChainError, ComputationError, DataError, PairedPresentations,
+                 PairingError, Presentation, PrimeField, SubdivisionLimitError,
+                 approx_matching_distance, bounds, chain_upper_bound,
+                 free_presentation, hilbert_dim, label_distance,
+                 label_distance_power, pad_and_pair, presdist)
 from mpm.fixtures import random_paired_presentations
 
 from conftest import q_free
@@ -164,6 +164,39 @@ def test_bounds_triangle_example(triangle_m):
     rep = bounds(triangle_m, q_free(0, 0), math.inf, F(1, 20))
     assert rep.upper == 1  # the paper's pairing at p = inf
     assert float(rep.lower) <= 1
+
+
+def test_bounds_keeps_the_partial_report_of_a_depth_guard(monkeypatch, pres_f, pres_g):
+    # a matching-distance run stopped by its depth guard still certifies
+    # its lower bound: bounds keeps that lower and the report itself
+    with pytest.raises(SubdivisionLimitError) as info:
+        approx_matching_distance(pres_f, pres_g, 1, F(1, 20), max_depth=1)
+    partial = info.value.report
+    assert not partial.converged
+
+    def stopped(*args, **kwargs):
+        raise SubdivisionLimitError("subdivision depth limit 1 reached", partial)
+
+    monkeypatch.setattr(presdist, "approx_matching_distance", stopped)
+    rep = bounds(pres_f, pres_g, 1, F(1, 20))
+    assert rep.matchdist is partial and rep.lower == partial.lower == 1
+    assert rep.upper == 2
+    assert rep.provenance[0] == "lower: matching-distance run hit the depth guard; bound kept"
+
+
+def test_bounds_over_different_fields_has_no_upper_bound():
+    rep = bounds(free_presentation([(0, 0)], F2), free_presentation([(1, 1)], PrimeField(3)),
+                 1, F(1, 10))
+    assert rep.lower == 1 and rep.upper == math.inf
+    assert rep.provenance[1] == ("upper: no pairing found (presentations are over "
+                                 "different fields); bound is infinite")
+
+
+def test_bounds_rejects_an_upper_bound_below_the_lower(monkeypatch, pres_f, pres_g):
+    # lower = 1 here, so an upper of 0 is more than eps below it
+    monkeypatch.setattr(presdist, "label_distance", lambda pp, p: F(0))
+    with pytest.raises(ComputationError, match=r"^lower bound 1\.0 exceeds upper bound 0\.0$"):
+        bounds(pres_f, pres_g, 1, F(1, 20))
 
 
 def test_sandwich_on_random_pairs():
