@@ -35,8 +35,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ComputationError, DataError, ParseError
 from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy
 from .fpm import _preamble
-from .grades import (Grade, format_grade, grade_leq, grade_parser, rat,
-                     show_grade)
+from .grades import (Grade, as_grade, grade_formatter, grade_leq,
+                     grade_parser, show_grade)
 from .presentation import Column, Presentation, labels
 
 
@@ -68,7 +68,7 @@ class FilteredComplex:
             cid = str(cid)
             if dim < 0:
                 raise DataError(f"cell {cid} has negative dimension")
-            grade = tuple(rat(c) for c in grade)
+            grade = as_grade(grade)
             if len(grade) != n_params:
                 raise DataError(f"cell {cid}: grade {grade} is not {n_params}-dimensional")
             frozen_cells.append((cid, dim, grade))
@@ -498,8 +498,9 @@ def parse_complex(text: str) -> FilteredComplex:
 
 
 def serialize_complex(X: FilteredComplex) -> str:
+    fmt = grade_formatter()
     out = ["cwf 1", f"field {X.field.q}", f"params {X.n_params}"]
     for cid, dim, grade in X.cells:
         entries = " ".join(f"{fid} {v}" for fid, v in X.boundary[cid])
-        out.append(f"{cid} {dim} {format_grade(grade)} :" + (f" {entries}" if entries else ""))
+        out.append(f"{cid} {dim} {fmt(grade)} :" + (f" {entries}" if entries else ""))
     return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DataError, ParseError
 from .field import PrimeField
-from .grades import format_grade, grade_parser
+from .grades import grade_formatter, grade_parser
 from .presentation import Presentation
 
 
@@ -130,10 +130,11 @@ def parse_presentation(text: str) -> Presentation:
 
 def serialize_presentation(P: Presentation) -> str:
     """Serialize; parse(serialize(P)) == P exactly."""
+    fmt = grade_formatter()
     out = ["fpm 1", f"field {P.field.q}", f"params {P.n_params}", f"rows {P.n_rows}"]
-    out.extend(format_grade(g) for g in P.row_labels)
+    out.extend(map(fmt, P.row_labels))
     out.append(f"cols {P.n_cols}")
-    for j in range(P.n_cols):
-        entries = " ".join(f"{r} {v}" for r, v in P.columns[j])
-        out.append(f"{format_grade(P.col_labels[j])} :" + (f" {entries}" if entries else ""))
+    for g, col in zip(P.col_labels, P.columns):
+        entries = " ".join(f"{r} {v}" for r, v in col)
+        out.append(f"{fmt(g)} :" + (f" {entries}" if entries else ""))
     return "\n".join(out) + "\n"

@@ -46,6 +46,17 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
+def as_grade(g) -> Grade:
+    """g as a tuple of Fractions (coordinates as rat takes them).
+
+    A tuple whose coordinates are all Fractions is returned as it is,
+    without a rebuild; any other sequence is rebuilt by rat.
+    """
+    if type(g) is tuple and all(type(c) is Fraction for c in g):
+        return g
+    return tuple(rat(c) for c in g)
+
+
 def format_rat(x: Extended) -> str:
     """Exact text form: terminating decimal when possible, else 'a/b'; 'inf'."""
     if is_inf(x):
@@ -268,8 +279,25 @@ def grade_parser(n_params: int) -> Callable[[Sequence[str]], Grade]:
     return parse
 
 
-def format_grade(g: Grade) -> str:
-    return " ".join(format_rat(c) for c in g)
+def grade_formatter() -> Callable[[Grade], str]:
+    """A formatter of the grades of one document, the twin of grade_parser.
+
+    It writes a grade as its coordinates in format_rat's text, joined by
+    spaces, and formats each distinct coordinate once, kept in a dict
+    that lives as long as the formatter.
+    """
+    texts: dict[Fraction, str] = {}
+
+    def fmt(g: Grade) -> str:
+        out = []
+        for c in g:
+            t = texts.get(c)
+            if t is None:
+                t = texts[c] = format_rat(c)
+            out.append(t)
+        return " ".join(out)
+
+    return fmt
 
 
 def show_grade(g: Grade) -> str:

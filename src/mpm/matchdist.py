@@ -35,6 +35,15 @@ bit.  The final lower bound is re-evaluated by sampled_lower_bound on
 the report's argmax_admissible line (integral p and p = inf); a value
 above the inflated float upper bound is an error.
 
+The search runs on minimal presentations of both modules
+(presentation._minimal): d_M^p depends only on the modules, and the box
+bound adds the lp-norm of every label's deviation, so a redundant
+relation or a cancellable generator-relation pair only loosens it and
+adds lines.  The minimal labels are a subset of the given ones.  The
+translation into [0, C]^2, C and so DistanceReport.translation come from
+the minimal labels; the exact lower bound is re-evaluated on the given
+presentations (see approx_matching_distance).
+
 Each reduction is computed once.  When a box is split, the children of
 both candidate splits are bounded in one batch over the labels of both
 modules.  Off the seams (_split_bounds) that takes 10 pushes: the 4
@@ -54,12 +63,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ComputationError, DataError, SubdivisionLimitError
+from .field import PrimeField
 from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, lp_root,
                      pexp_integral, rat, vec_pnorm)
 from .lines import (AdmissibleLine, Line, LimitLine, _int_pushes,
                     _label_denominator)
 from .onepar import barcode_pairs
-from .presentation import Presentation, labels
+from .presentation import Presentation, _minimal, labels
 from .wasserstein import bar_distance, scaled_bar_distance
 
 
@@ -288,12 +298,14 @@ class _ModuleData:
     object lives for one approx_matching_distance call.
     """
 
-    def __init__(self, P: Presentation, ux: Fraction, uy: Fraction):
-        self.n_rows = P.n_rows
+    def __init__(self, minimal: tuple, field: PrimeField, ux: Fraction,
+                 uy: Fraction):
+        row_labels, col_labels, columns = minimal
+        self.n_rows = len(row_labels)
         self.labels = [(float(g[0] - ux), float(g[1] - uy))
-                       for g in P.row_labels + P.col_labels]
-        self.columns = P.column_dicts()
-        self.field = P.field
+                       for g in row_labels + col_labels]
+        self.columns = [dict(col) for col in columns]
+        self.field = field
         self.memo: dict = {}
 
     def bars(self, pushes: list):
@@ -416,7 +428,12 @@ def _line_value(M: _ModuleData, N: _ModuleData, pushes: list, p: PExp) -> float:
 
 @dataclass
 class DistanceReport:
-    """Certified bounds: lower <= d_M^p <= upper, upper - lower <= epsilon."""
+    """Certified bounds: lower <= d_M^p <= upper, upper - lower <= epsilon.
+
+    translation is the least coordinate of each axis over the labels of
+    both minimal presentations, the search's origin; argmax_admissible
+    adds it back.
+    """
 
     p: PExp
     epsilon: float
@@ -452,6 +469,19 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     line only), SubdivisionLimitError (with the partial report attached)
     if the depth guard is hit, and ComputationError if the exact lower
     bound exceeds the inflated float upper bound.
+
+    The search runs on the minimal presentations of P_M and P_N
+    (presentation._minimal), which present the same modules: the
+    translation, C, the box bounds and the per-line values are all taken
+    from them, and two equal minimal forms over one field give 0.  This
+    is sound because every quantity the certificate rests on is a
+    module invariant.  The restriction of a module to a line depends
+    only on the module, so isomorphic modules have equal per-line
+    barcodes and equal per-line distances, and d_M^p is their supremum
+    over lines.  The chart of the minimal labels covers every line, as
+    it does for any labels the modules are presented with.  So the
+    exact re-evaluation of the report's best line, run on the caller's
+    P_M and P_N, gives the value the minimal presentations give there.
     """
     p = as_pexp(p)
     eps = float(epsilon)
@@ -463,7 +493,8 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
         if P.n_params != 2:
             raise DataError("matching distance requires 2-parameter presentations")
 
-    all_labels = labels(P_M) + labels(P_N)
+    min_M, min_N = _minimal(P_M), _minimal(P_N)
+    all_labels = min_M[0] + min_M[1] + min_N[0] + min_N[1]
     if not all_labels:
         zero_param = LineParam(0, 0)
         return DistanceReport(p, eps, Fraction(0), Fraction(0), 0, zero_param,
@@ -476,8 +507,8 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     if Fraction(Cf) < C:
         Cf = math.nextafter(Cf, math.inf)
 
-    M = _ModuleData(P_M, ux, uy)
-    N = _ModuleData(P_N, ux, uy)
+    M = _ModuleData(min_M, P_M.field, ux, uy)
+    N = _ModuleData(min_N, P_N.field, ux, uy)
     pf = None if is_inf(p) else float(p)
 
     def inflated(bounded):
@@ -491,7 +522,7 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     argmax = LineParam(0, 0)
     if is_inf(root_val):
         return DistanceReport(p, eps, INF, INF, evaluated, argmax, translation)
-    if P_M == P_N:
+    if P_M.field == P_N.field and min_M == min_N:
         return DistanceReport(p, eps, Fraction(0), Fraction(0), evaluated,
                               argmax, translation)
 

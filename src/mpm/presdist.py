@@ -19,7 +19,7 @@ from .grades import (Extended, Grade, PExp, as_pexp, is_inf, join_all,
                      vec_pnorm, vec_pnorm_power)
 from .matchdist import DistanceReport, approx_matching_distance
 from .onepar import barcode_of
-from .presentation import Presentation, labels
+from .presentation import Presentation, _minimal, labels
 
 
 @dataclass(frozen=True)
@@ -187,26 +187,23 @@ def _uniform_borrow(Pp: Presentation, Qp: Presentation):
 def _same_module(P: Presentation, Q: Presentation) -> bool:
     """True only when P and Q provably present isomorphic modules.
 
-    Three cases are decided, each exactly:
+    Two cases are decided, each exactly:
 
-    (a) P == Q.
-    (b) Every label of both is one grade g: each presents the free
-        module at g of rank rows - rank (as in _uniform_borrow), so
-        equal ranks mean isomorphic modules.
-    (c) Both are 1-parameter: the barcode is a complete invariant.
+    (a) Equal minimal forms (presentation._minimal): each minimal form
+        presents the module of its presentation, so equal forms present
+        isomorphic modules.  This holds whenever P == Q, and whenever
+        every label of both is one grade g and rows - rank is equal:
+        then each minimal form is rows - rank generators at g and no
+        relation.
+    (b) Both are 1-parameter: the barcode is a complete invariant.
 
     Any other pair is undecided and gives False.
     """
     if P.field != Q.field or P.n_params != Q.n_params:
         return False
-    if P == Q:
+    if _minimal(P) == _minimal(Q):
         return True
-    if P.n_params == 1:
-        return barcode_of(P) == barcode_of(Q)
-    pool = labels(P) + labels(Q)
-    return (all(g == pool[0] for g in pool)
-            and P.n_rows - column_rank(P.columns, P.field)
-            == Q.n_rows - column_rank(Q.columns, Q.field))
+    return P.n_params == 1 and barcode_of(P) == barcode_of(Q)
 
 
 def chain_upper_bound(chain: Sequence[PairedPresentations], p: PExp) -> Extended:

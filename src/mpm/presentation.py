@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
-from .field import ColumnEchelon, PrimeField, SparseCol, column_rank
-from .grades import Grade, grade_leq, rat, show_grade
+from .field import ColumnEchelon, PrimeField, SparseCol, col_axpy, column_rank
+from .grades import Grade, as_grade, grade_leq, show_grade
 
 Entry = tuple[int, int]  # (row index, residue)
 Column = tuple[Entry, ...]
@@ -38,7 +38,7 @@ def _freeze_column(col, n_rows: int, q: int) -> Column:
 
 
 def _freeze_grade(g, n_params: int) -> Grade:
-    g = tuple(rat(c) for c in g)
+    g = as_grade(g)
     if len(g) != n_params:
         raise DataError(f"grade {g} does not have {n_params} coordinates")
     return g
@@ -115,6 +115,57 @@ class Presentation:
             tuple(cols))
 
 
+def _minimal(P: Presentation) -> tuple[tuple[Grade, ...], tuple[Grade, ...],
+                                         tuple[Column, ...]]:
+    """(row labels, column labels, columns) of a minimal presentation of
+    the module P presents, in the frozen form Presentation stores.
+
+    Two steps, each of which keeps the presented module:
+    - Relations are taken in lex order of (grade, index), and one is
+      dropped when it lies in the F-span of the kept relations of grade
+      <= its own (product order), tested on one ColumnEchelon per
+      relation.  A dropped relation is zero in the cokernel already.  A
+      kept relation j is then in no span of the other kept relations of
+      grade <= its own: a later one of such a grade has j's grade, and
+      if it took part in such a sum it would lie in the span of j and
+      the relations before it, and would have been dropped.
+    - Then, while a nonzero entry (r, j) joins a row and a column of
+      equal grade, generator r and relation j cancel: r is cleared from
+      every other column k by col_axpy with column j, admissible since
+      an entry at r makes grade(k) >= grade(r) = grade(j), and row r
+      and column j go.  A cleared column in the span of the others of
+      grade <= its own would put its original column in the span of the
+      original ones and j, so the relations stay minimal.
+    By graded Nakayama the result is a minimal presentation.  Surviving
+    rows and columns keep their relative order, so a presentation that
+    is already minimal comes back with its own labels and columns.
+    """
+    q, rows, cols = P.field.q, P.row_labels, P.col_labels
+    kept: list[int] = []
+    for j in sorted(range(P.n_cols), key=lambda j: (cols[j], j)):
+        echelon = ColumnEchelon(P.field)
+        for k in kept:
+            if grade_leq(cols[k], cols[j]):
+                echelon.add(P.columns[k])
+        if echelon.add(P.columns[j]) is not None:
+            kept.append(j)
+    columns = {j: dict(P.columns[j]) for j in sorted(kept)}
+    gone: set[int] = set()
+    while pair := next(((r, j) for j, col in columns.items() for r in col
+                        if rows[r] == cols[j]), None):
+        r, j = pair
+        pivot = columns.pop(j)
+        unit = P.field.inv(pivot[r])
+        for col in columns.values():
+            if r in col:
+                col_axpy(col, col[r] * unit, pivot, q)
+        gone.add(r)
+    index = {r: i for i, r in enumerate(r for r in range(P.n_rows) if r not in gone)}
+    return (tuple(rows[r] for r in index), tuple(cols[j] for j in columns),
+            tuple(tuple(sorted((index[r], v) for r, v in col.items()))
+                  for col in columns.values()))
+
+
 def labels(P: Presentation) -> tuple[Grade, ...]:
     """The label vector of P: row labels first, then column labels."""
     return P.row_labels + P.col_labels
@@ -123,7 +174,7 @@ def labels(P: Presentation) -> tuple[Grade, ...]:
 def free_presentation(gens: Iterable[Grade], fld: PrimeField = PrimeField(2),
                       n_params: int | None = None) -> Presentation:
     """Presentation of a free module: one row per generator, no columns."""
-    gens = tuple(tuple(rat(c) for c in g) for g in gens)
+    gens = tuple(as_grade(g) for g in gens)
     if n_params is None:
         if not gens:
             raise DataError("n_params required for an empty free presentation")

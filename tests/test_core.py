@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import math
 import random
@@ -16,15 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpm
-from mpm import (Barcode, DataError, Matching, PairedPresentations, ParseError,
-                 PrimeField, Presentation, free_presentation, grade_join, grade_leq,
-                 hilbert_dim, label_distance, label_distance_power, labels,
-                 matching_cost, matching_cost_power, parse_barcode, parse_complex,
-                 parse_presentation, rank_invariant, rat, serialize_presentation,
-                 vec_pnorm, vec_pnorm_power, wasserstein, wasserstein_power)
-from mpm.field import ColumnEchelon, column_rank, is_prime
-from mpm.fixtures import random_barcode, random_paired_presentations, random_presentation
+from mpm import (AdmissibleLine, Barcode, DataError, FilteredComplex, LimitLine,
+                 Matching, PairedPresentations, ParseError, PrimeField, Presentation,
+                 barcode_along_line, barcode_of, free_presentation, grade_join,
+                 grade_leq, hilbert_dim, homology_presentation, label_distance,
+                 label_distance_power, labels, matching_cost, matching_cost_power,
+                 parse_barcode, parse_complex, parse_presentation, rank_invariant,
+                 rat, serialize_complex, serialize_presentation, vec_pnorm,
+                 vec_pnorm_power, wasserstein, wasserstein_power)
+from mpm.field import ColumnEchelon, col_axpy, column_rank, is_prime
+from mpm.fixtures import (random_barcode, random_monotone_complex,
+                          random_paired_presentations, random_presentation)
 from mpm.grades import format_rat, is_inf, lp_root, pth_root
+from mpm.presentation import _minimal
 from mpm.wasserstein import bar_distance
 
 from oracles import ReferenceEchelon, dense_hilbert, dense_rank
@@ -306,12 +311,137 @@ def test_parsers_report_a_later_bad_token_at_its_line():
         parse_complex(cells + "e 1 1/3 2/0 : v 1 w 1\n")
 
 
+def test_serializers_format_each_distinct_coordinate_once(monkeypatch):
+    P = parse_presentation(FPM_F)
+    X = parse_complex(CWF_TOKENS)
+    texts = (serialize_presentation(P), serialize_complex(X))
+    made = []
+
+    def spy(x):
+        made.append(x)
+        return format_rat(x)
+
+    monkeypatch.setattr(mpm.grades, "format_rat", spy)
+    assert serialize_presentation(P) == texts[0] == FPM_F
+    assert sorted(made) == [0, 1, 3, 4]
+    made.clear()
+    assert serialize_complex(X) == texts[1]
+    assert sorted(made) == [0, F(1, 2)]
+
+
+def test_labels_are_normalized_and_checked():
+    # int and str coordinates become Fractions; a tuple of Fractions is
+    # kept as it is; floats are refused, as rat refuses them
+    half = (F(1, 2), F(3))
+    P = Presentation(PrimeField(2), 2, ((0, "1/2"), half), ([1, "3.5"],), (((1, 1),),))
+    assert P.row_labels == ((F(0), F(1, 2)), half) and P.row_labels[1] is half
+    assert P.col_labels == ((F(1), F(7, 2)),)
+    assert all(type(c) is F for g in labels(P) for c in g)
+    assert free_presentation([half, (2, "0.25")]).row_labels == (half, (F(2), F(1, 4)))
+    X = FilteredComplex(PrimeField(2), 2, [("v", 0, ("1/4", 0)), ("w", 0, half)], {})
+    assert X.grade_map() == {"v": (F(1, 4), F(0)), "w": half}
+    assert X.grade_map()["w"] is half
+    with pytest.raises(TypeError):
+        Presentation(PrimeField(2), 2, ((0.5, 0),), (), ())
+    with pytest.raises(TypeError):
+        FilteredComplex(PrimeField(2), 2, [("v", 0, (0.5, 0))], {})
+    for bad in ((F(1),), (F(1), F(2), F(3)), (1,), ()):
+        with pytest.raises(DataError, match="coordinates"):
+            Presentation(PrimeField(2), 2, (bad,), (), ())
+        with pytest.raises(DataError, match="2-dimensional"):
+            FilteredComplex(PrimeField(2), 2, [("v", 0, bad)], {})
+    with pytest.raises(DataError, match="label order"):
+        Presentation(PrimeField(2), 2, (half,), ((F(0), F(0)),), (((0, 1),),))
+    with pytest.raises(DataError, match="not monotone"):
+        FilteredComplex(PrimeField(2), 2, [("v", 0, half), ("e", 1, (F(0), F(0)))],
+                        {"e": [("v", 1)]})
+
+
 def test_roundtrip_identity():
     rng = random.Random(7)
     for _ in range(25):
         P = random_presentation(rng, n_params=rng.choice([1, 2]),
                                 field=PrimeField(rng.choice([2, 5])))
         assert parse_presentation(serialize_presentation(P)) == P
+
+
+def _with_cancellable_parts(rng, P):
+    """P with parts for the minimizer to remove appended: a redundant
+    relation (the sum of two columns at their join), when P has two
+    columns, and a generator g with a relation of its own grade, which
+    other columns of grade >= g may use as well."""
+    rows, cols, columns = list(P.row_labels), list(P.col_labels), list(P.columns)
+    if len(columns) >= 2:
+        a, b = rng.sample(range(len(columns)), 2)
+        summed = dict(columns[a])
+        col_axpy(summed, -1, dict(columns[b]), P.field.q)
+        cols.append(grade_join(cols[a], cols[b]))
+        columns.append(tuple(sorted(summed.items())))
+    g = rows[rng.randrange(len(rows))] if rows else (F(0),) * P.n_params
+    rows.append(g)
+    columns = [col + ((len(rows) - 1, 1),) if grade_leq(g, lbl) and rng.random() < 0.3
+               else col for col, lbl in zip(columns, cols)]
+    cols.append(g)
+    columns.append(((len(rows) - 1, 1),) + tuple(
+        (r, rng.randrange(1, P.field.q)) for r in range(len(rows) - 1)
+        if rows[r] == g and rng.random() < 0.5))
+    return Presentation(P.field, P.n_params, tuple(rows), tuple(cols), tuple(columns))
+
+
+def _minimality_cases():
+    rng = random.Random(23)
+    for i in range(120):
+        P = random_presentation(rng, n_params=2 if i % 4 else 1, max_rows=5,
+                                max_cols=6, field=PrimeField((2, 3)[i % 2]),
+                                span=3, denom=1)
+        yield P
+        yield _with_cancellable_parts(rng, P)
+    for seed in range(6):
+        X = random_monotone_complex(random.Random(seed), n_vertices=7,
+                                    field=PrimeField((2, 3)[seed % 2]), span=3,
+                                    denom=1, max_cells=30)
+        for j in (0, 1):
+            yield homology_presentation(X, j)
+
+
+def test_minimal_presents_the_same_module_minimally():
+    lines = [AdmissibleLine((1, 1), (0, 0)), AdmissibleLine((1, F(5, 2)), (F(1, 2), 0)),
+             AdmissibleLine((3, 1), (0, F(3, 2))), LimitLine(0, (0, 1)), LimitLine(1, (2, 0))]
+    shrunk = 0
+    for P in _minimality_cases():
+        rows, cols, columns = found = _minimal(P)
+        M = Presentation(P.field, P.n_params, rows, cols, columns)
+        assert _minimal(M) == found
+        shrunk += M.n_rows + M.n_cols < P.n_rows + P.n_cols
+        # the Hilbert function is constant on the cells of the grid of
+        # label coordinates, so the grid decides it exactly
+        axes = [sorted({g[k] for g in labels(P)} | {F(-1)}) for k in range(P.n_params)]
+        for g in itertools.product(*axes):
+            assert hilbert_dim(M, g) == hilbert_dim(P, g)
+        if P.n_params == 1:
+            assert barcode_of(M) == barcode_of(P)
+        else:
+            for line in lines:
+                assert barcode_along_line(M, line) == barcode_along_line(P, line)
+        for j, col in enumerate(columns):
+            assert all(rows[r] != cols[j] for r, _ in col)
+            echelon = ColumnEchelon(P.field)
+            for k, other in enumerate(columns):
+                if k != j and grade_leq(cols[k], cols[j]):
+                    echelon.add(other)
+            assert echelon.add(col) is not None
+    assert shrunk > 100
+
+
+def test_minimal_keeps_the_order_of_survivors():
+    # rows (0,0), (1,0), (0,0) over F_3: relation 1 is twice relation 2
+    # at a later grade and goes; relation 0 cancels with row 0, its first
+    # entry of equal grade, which turns relation 2's row 0 into row 2
+    P = Presentation(PrimeField(3), 2, ((0, 0), (1, 0), (0, 0)),
+                     ((0, 0), (2, 2), (1, 1)),
+                     (((0, 1), (2, 2)), ((0, 2), (1, 2)), ((0, 1), (1, 1))))
+    assert _minimal(P) == (((F(1), F(0)), (F(0), F(0))), ((F(1), F(1)),),
+                           (((0, 1), (1, 1)),))
 
 
 def test_hilbert_examples(pres_f):

@@ -8,7 +8,7 @@ from mpm import (ChainError, ComputationError, DataError, PairedPresentations,
                  PairingError, Presentation, PrimeField, SubdivisionLimitError,
                  approx_matching_distance, bounds, chain_upper_bound,
                  free_presentation, hilbert_dim, label_distance,
-                 label_distance_power, pad_and_pair, presdist)
+                 label_distance_power, pad_and_pair, presdist, rank_invariant)
 from mpm.fixtures import random_paired_presentations
 
 from conftest import q_free
@@ -129,6 +129,30 @@ def test_chain_junction_needs_a_proof_not_equal_hilbert_functions():
         else:
             with pytest.raises(ChainError):
                 chain_upper_bound(chain, 1)
+
+
+def test_chain_junction_accepts_equal_minimal_presentations():
+    # A has generators at (0,0) and (1,0) and relations at (2,1) and
+    # (1,3); A_extra adds their sum at the join (2,3), a redundant
+    # relation, and a generator cancelled by a relation at (4,4).  Both
+    # present one module, and their grades are not uniform
+    A = Presentation(F2, 2, ((0, 0), (1, 0)), ((2, 1), (1, 3)),
+                     (((0, 1), (1, 1)), ((0, 1),)))
+    A_extra = Presentation(F2, 2, ((0, 0), (1, 0), (4, 4)),
+                           ((2, 1), (2, 3), (1, 3), (4, 4)),
+                           (((0, 1), (1, 1)), ((1, 1),), ((0, 1),), ((1, 1), (2, 1))))
+    for left, right in ((A, A_extra), (A_extra, A)):
+        chain = [PairedPresentations(left, left), PairedPresentations(right, right)]
+        assert chain_upper_bound(chain, 1) == 0
+    # moving the relation at (1,3) to the other generator keeps the
+    # Hilbert function but not the module
+    A_other = Presentation(F2, 2, ((0, 0), (1, 0)), ((2, 1), (1, 3)),
+                           (((0, 1), (1, 1)), ((1, 1),)))
+    s, t = (F(0), F(0)), (F(1), F(3))
+    assert (rank_invariant(A, s, t), rank_invariant(A_other, s, t)) == (0, 1)
+    with pytest.raises(ChainError):
+        chain_upper_bound([PairedPresentations(A, A),
+                           PairedPresentations(A_other, A_other)], 1)
 
 
 def test_chain_trivial_cases(pres_f):
