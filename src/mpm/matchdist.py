@@ -18,22 +18,24 @@ the push does not increase as |mu| grows either, so the max is at the
 one corner nearest (s, mu) = (0, 0) and the min at the farthest one
 (proof at _split_bounds).
 
-The push (lines._pushes), the box deviation, the bars along a line
-(onepar.barcode_pairs) and the per-line Wasserstein distance are each
-written once, generic in the number type: exact on Fractions
-(label_deviation, local_bound) and on ints scaled by common
+The push (lines._pushes), the box deviation (_deviations), the bars
+along a line (onepar.barcode_pairs) and the per-line Wasserstein
+distance are each written once, generic in the number type: exact on
+Fractions (label_deviation, local_bound) and on ints scaled by common
 denominators, while the branch-and-bound loop runs the same code on
 floats with a small inflation (~1e-9) on every upper-bound term.  The
+search has two float twins, kept for their measured speed: _push_at,
+_pushes with the chart's (_chart) 1s and 0s folded in, and
+_split_bounds, _deviations (through _box_bounds) on the children of an
+off-seam box; tests keep each equal to its original bit for bit.  The
 exact per-line route is sampled_lower_bound: per line it pushes the
 labels of both modules on one int scale (lines._int_pushes), reads the
 int bars off barcode_pairs, and hands them to
 wasserstein.scaled_bar_distance, which divides the aggregate back once
-at integral p and p = inf; no Barcode or Fraction bar is built.  At a
-chart point (s, mu) the box bounds push by _push_at, the push with the
-chart's (_chart) 1s and 0s folded in, equal to lines._pushes bit for
-bit.  The final lower bound is re-evaluated by sampled_lower_bound on
-the report's argmax_admissible line (integral p and p = inf); a value
-above the inflated float upper bound is an error.
+at integral p and p = inf; no Barcode or Fraction bar is built.  The
+final lower bound is re-evaluated by sampled_lower_bound on the
+report's argmax_admissible line (integral p and p = inf); a value above
+the inflated float upper bound is an error.
 
 The search runs on minimal presentations of both modules
 (presentation._minimal): d_M^p depends only on the modules, and the box
@@ -42,7 +44,10 @@ relation or a cancellable generator-relation pair only loosens it and
 adds lines.  The minimal labels are a subset of the given ones.  The
 translation into [0, C]^2, C and so DistanceReport.translation come from
 the minimal labels; the exact lower bound is re-evaluated on the given
-presentations (see approx_matching_distance).
+presentations (see approx_matching_distance).  The minimal forms come
+in label order, so a presentation whose rows have distinct labels, as
+have its columns, gives the same search in any row and column order,
+and equal forms give 0 at the root.
 
 Each reduction is computed once.  When a box is split, the children of
 both candidate splits are bounded in one batch over the labels of both
@@ -64,7 +69,7 @@ from typing import Optional, Sequence
 
 from .errors import ComputationError, DataError, SubdivisionLimitError
 from .field import PrimeField
-from .grades import (INF, Extended, Grade, PExp, as_pexp, is_inf, lp_root,
+from .grades import (Extended, Grade, PExp, as_pexp, is_inf, lp_root,
                      pexp_integral, rat, vec_pnorm)
 from .lines import (AdmissibleLine, Line, LimitLine, _int_pushes,
                     _label_denominator)
@@ -265,14 +270,14 @@ def sampled_lower_bound(P_M: Presentation, P_N: Presentation, p: PExp,
     type.
     """
     p = as_pexp(p)
+    if P_M.n_params != 2 or P_N.n_params != 2:
+        raise DataError("restriction applies to 2-parameter presentations")
     k = P_M.n_rows + P_M.n_cols
     label_vec = labels(P_M) + labels(P_N)
     den = _label_denominator(label_vec)
     cols_m, cols_n = P_M.column_dicts(), P_N.column_dicts()
     best: Extended = Fraction(0)
     for line in lines:
-        if P_M.n_params != 2 or P_N.n_params != 2:
-            raise DataError("restriction applies to 2-parameter presentations")
         pushed, s = _int_pushes(label_vec, line, den)
         pm, pn = pushed[:k], pushed[k:]
         agg, _ = scaled_bar_distance(
@@ -473,7 +478,9 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     The search runs on the minimal presentations of P_M and P_N
     (presentation._minimal), which present the same modules: the
     translation, C, the box bounds and the per-line values are all taken
-    from them, and two equal minimal forms over one field give 0.  This
+    from them, and two equal minimal forms over one field give 0 (the
+    forms are in label order, so this covers forms that differ only by a
+    permutation of rows and columns of distinct labels).  This
     is sound because every quantity the certificate rests on is a
     module invariant.  The restriction of a module to a line depends
     only on the module, so isomorphic modules have equal per-line
@@ -520,8 +527,6 @@ def approx_matching_distance(P_M: Presentation, P_N: Presentation, p: PExp,
     root_val = _line_value(M, N, root_pushes, p)
     evaluated = 1
     argmax = LineParam(0, 0)
-    if is_inf(root_val):
-        return DistanceReport(p, eps, INF, INF, evaluated, argmax, translation)
     if P_M.field == P_N.field and min_M == min_N:
         return DistanceReport(p, eps, Fraction(0), Fraction(0), evaluated,
                               argmax, translation)

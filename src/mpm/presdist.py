@@ -83,7 +83,8 @@ def _padded(P: Presentation, n_pairs: int, n_zero: int, label: Grade) -> Present
 
 
 def _wl_orders(P: Presentation, rounds: int = 3):
-    """Row/column orders from a Weisfeiler-Leman refinement of the entry graph."""
+    """Row/column orders by (Weisfeiler-Leman colour of the entry graph,
+    label, index)."""
     row_entries: list[list[tuple[int, int]]] = [[] for _ in range(P.n_rows)]
     for j in range(P.n_cols):
         for r, v in P.columns[j]:
@@ -109,10 +110,14 @@ def pad_and_pair(P: Presentation, Q: Presentation) -> PairedPresentations:
     """Produce one valid same-matrix pairing of the two presentations.
 
     Both sides are padded (redundant pairs for missing rows, zero
-    columns for missing columns), then a few fixed row/column orders are
-    tried: as given, label-sorted, and pattern-refined.  The candidate
-    with equal matrices and the smallest label distance (at p = 1) wins.
-    Raises PairingError when no candidate aligns the matrices.
+    columns for missing columns), then two row/column orders are tried,
+    as given and refined (_wl_orders), and a side with one label grade
+    may borrow its partner's matrix (_uniform_borrow).  The aligned
+    candidate with the smallest label distance at p = 1 wins; with none,
+    PairingError.  The label-sorted order is not tried: _wl_orders
+    re-sorts it stably by refinement colours, which do not depend on how
+    rows and columns are permuted, so whenever it aligns the matrices
+    the refined order aligns the same rows and columns.
     """
     if P.field != Q.field:
         raise PairingError("presentations are over different fields")
@@ -126,38 +131,16 @@ def pad_and_pair(P: Presentation, Q: Presentation) -> PairedPresentations:
     Pp = _padded(P, kp, zp, _pad_label(P, Q))
     Qp = _padded(Q, kq, zq, _pad_label(Q, P))
 
-    def orders(R: Presentation):
-        ident = (list(range(R.n_rows)), list(range(R.n_cols)))
-        by_label = (sorted(range(R.n_rows), key=lambda i: (R.row_labels[i], i)),
-                    sorted(range(R.n_cols), key=lambda j: (R.col_labels[j], j)))
-        return [ident, by_label, _wl_orders(R)]
-
-    candidates: list[PairedPresentations] = []
-    for (pro, pco), (qro, qco) in zip(orders(Pp), orders(Qp)):
-        cand_p = Pp.permuted(pro, pco)
-        cand_q = Qp.permuted(qro, qco)
-        if cand_p.underlying_equal(cand_q):
-            candidates.append(PairedPresentations(cand_p, cand_q))
+    candidates = [PairedPresentations(A, B)
+                  for A, B in ((Pp, Qp), (Pp.permuted(*_wl_orders(Pp)),
+                                          Qp.permuted(*_wl_orders(Qp))))
+                  if A.underlying_equal(B)]
     candidates.extend(_uniform_borrow(Pp, Qp))
-
-    best: Optional[PairedPresentations] = None
-    best_key = None
-    for pp in candidates:
-        key = label_distance(pp, 1)
-        if best is None or key < best_key:
-            best, best_key = pp, key
-    if best is None:
+    if not candidates:
         raise PairingError(
             "structurally incompatible matrices after padding: no tried row/column "
             "order makes the underlying matrices equal")
-    return best
-
-
-def _uniform_label(P: Presentation) -> Optional[Grade]:
-    pool = labels(P)
-    if pool and all(g == pool[0] for g in pool):
-        return pool[0]
-    return None
+    return min(candidates, key=lambda pp: label_distance(pp, 1))
 
 
 def _uniform_borrow(Pp: Presentation, Qp: Presentation):
@@ -169,8 +152,7 @@ def _uniform_borrow(Pp: Presentation, Qp: Presentation):
     """
     out = []
     for A, B in ((Pp, Qp), (Qp, Pp)):
-        g = _uniform_label(A)
-        if g is None or A.n_rows != B.n_rows or A.n_cols != B.n_cols:
+        if len(set(labels(A))) != 1 or A.n_rows != B.n_rows or A.n_cols != B.n_cols:
             continue
         if column_rank(A.columns, A.field) != column_rank(B.columns, B.field):
             continue
@@ -191,10 +173,12 @@ def _same_module(P: Presentation, Q: Presentation) -> bool:
 
     (a) Equal minimal forms (presentation._minimal): each minimal form
         presents the module of its presentation, so equal forms present
-        isomorphic modules.  This holds whenever P == Q, and whenever
-        every label of both is one grade g and rows - rank is equal:
-        then each minimal form is rows - rank generators at g and no
-        relation.
+        isomorphic modules.  The forms come in label order, so this
+        holds whenever P == Q, whenever the two minimal forms differ
+        only by a permutation of rows and columns of distinct labels,
+        and whenever every label of both is one grade g and rows - rank
+        is equal: then each minimal form is rows - rank generators at g
+        and no relation.
     (b) Both are 1-parameter: the barcode is a complete invariant.
 
     Any other pair is undecided and gives False.

@@ -136,9 +136,13 @@ def _minimal(P: Presentation) -> tuple[tuple[Grade, ...], tuple[Grade, ...],
       and column j go.  A cleared column in the span of the others of
       grade <= its own would put its original column in the span of the
       original ones and j, so the relations stay minimal.
-    By graded Nakayama the result is a minimal presentation.  Surviving
-    rows and columns keep their relative order, so a presentation that
-    is already minimal comes back with its own labels and columns.
+    By graded Nakayama the result is a minimal presentation, in label
+    order: columns as the first step visits them, rows sorted by (grade,
+    index).  Minimal forms that differ only by a permutation of rows and
+    columns of distinct labels thus come out equal, since a column then
+    meets at most one row of its grade and no cancellation depends on
+    the order.  Equal labels keep index order, so a permutation among
+    them can still make the forms of one module differ.
     """
     q, rows, cols = P.field.q, P.row_labels, P.col_labels
     kept: list[int] = []
@@ -149,7 +153,7 @@ def _minimal(P: Presentation) -> tuple[tuple[Grade, ...], tuple[Grade, ...],
                 echelon.add(P.columns[k])
         if echelon.add(P.columns[j]) is not None:
             kept.append(j)
-    columns = {j: dict(P.columns[j]) for j in sorted(kept)}
+    columns = {j: dict(P.columns[j]) for j in kept}
     gone: set[int] = set()
     while pair := next(((r, j) for j, col in columns.items() for r in col
                         if rows[r] == cols[j]), None):
@@ -160,7 +164,8 @@ def _minimal(P: Presentation) -> tuple[tuple[Grade, ...], tuple[Grade, ...],
             if r in col:
                 col_axpy(col, col[r] * unit, pivot, q)
         gone.add(r)
-    index = {r: i for i, r in enumerate(r for r in range(P.n_rows) if r not in gone)}
+    survivors = sorted(set(range(P.n_rows)) - gone, key=lambda r: (rows[r], r))
+    index = {r: i for i, r in enumerate(survivors)}
     return (tuple(rows[r] for r in index), tuple(cols[j] for j in columns),
             tuple(tuple(sorted((index[r], v) for r, v in col.items()))
                   for col in columns.values()))

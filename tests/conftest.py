@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -5,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mpm import F2, FilteredComplex, Presentation, free_presentation
+from mpm import F2, FilteredComplex, Presentation, PrimeField, free_presentation
+from mpm.fixtures import random_presentation
+from mpm.presentation import _minimal
 
 
 def _ones_column(n_rows):
@@ -62,3 +65,31 @@ def triangle_m() -> Presentation:
 
 def q_free(x, y) -> Presentation:
     return free_presentation([(x, y)], F2)
+
+
+def shuffled_label_distinct_pairs(seed, n):
+    """n pairs (P, Q) that present one module.
+
+    P is a random F_2 or F_3 presentation with pairwise distinct row
+    labels and pairwise distinct column labels, whose minimal form keeps
+    every generator (at least two) and a relation.  Q is P with its rows
+    and columns shuffled, the rows out of their given order, so minimal
+    forms kept in given row order would differ.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        P = random_presentation(rng, max_rows=5, max_cols=5,
+                                field=PrimeField(rng.choice([2, 3])))
+        if len(set(P.row_labels)) < P.n_rows or len(set(P.col_labels)) < P.n_cols:
+            continue
+        rows, cols, _ = _minimal(P)
+        if len(rows) < 2 or len(rows) < P.n_rows or not cols:
+            continue
+        row_order, col_order = list(range(P.n_rows)), list(range(P.n_cols))
+        rng.shuffle(row_order)
+        rng.shuffle(col_order)
+        if row_order == sorted(row_order):
+            continue
+        out.append((P, P.permuted(row_order, col_order)))
+    return out

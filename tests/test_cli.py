@@ -201,6 +201,33 @@ def test_hilbert(files, capsys):
     assert lines == ["2,2\t2", "5,5\t1"]
 
 
+def test_hilbert_grade_of_the_wrong_length_is_a_data_error(files, capsys):
+    # "1,2,3" parses as a grade, but not as one of f.fpm's 2 parameters
+    assert main(["hilbert", "--at", "1,2,3", files["f.fpm"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grade '1,2,3' does not have 2 coordinates" in captured.err
+
+
+def test_infinite_distances_print(tmp_path, capsys):
+    # free modules of ranks 1 and 2: an essential bar is left unmatched
+    # on every line, and no pairing aligns a unit matrix with a zero one
+    one, two = tmp_path / "one.fpm", tmp_path / "two.fpm"
+    one.write_text("fpm 1\nfield 2\nparams 2\nrows 1\n0 0\ncols 0\n")
+    two.write_text("fpm 1\nfield 2\nparams 2\nrows 2\n0 0\n1 2\ncols 0\n")
+    pair = [str(one), str(two)]
+    assert main(["matchdist", "--p", "1", "--eps", "0.1"] + pair) == 0
+    assert capsys.readouterr().out == "lower inf upper inf lines 1\n"
+    assert main(["matchdist", "--p", "1", "--eps", "0.1", "--json"] + pair) == 0
+    text = capsys.readouterr().out
+    assert '"lower": "inf", "upper": "inf"' in text
+    assert json.loads(text)["lines_evaluated"] == 1
+    assert main(["bounds", "--p", "1", "--eps", "0.1", "--json"] + pair) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["lower"], data["upper"]) == ("inf", "inf")
+    assert data["provenance"][1].startswith("upper: no pairing found")
+
+
 def test_output_golden(tmp_path, monkeypatch, capsys):
     # stdout and exit code of the number-printing commands, recorded before
     # --digits/--exact/--json were narrowed to the commands that print numbers;

@@ -433,15 +433,18 @@ def test_minimal_presents_the_same_module_minimally():
     assert shrunk > 100
 
 
-def test_minimal_keeps_the_order_of_survivors():
-    # rows (0,0), (1,0), (0,0) over F_3: relation 1 is twice relation 2
-    # at a later grade and goes; relation 0 cancels with row 0, its first
-    # entry of equal grade, which turns relation 2's row 0 into row 2
+def test_minimal_puts_survivors_in_label_order():
+    # rows (0,0), (1,0), (0,0) over F_3, relations listed out of label
+    # order: relation 2 is twice relation 3 at a later grade and goes;
+    # relation 1 cancels with row 0, its first row of equal grade, which
+    # turns relation 3's row 0 into row 2.  Columns come in lex order of
+    # grade, (1,1) before (3,1), and rows sorted by grade, row 2 at (0,0)
+    # before row 1 at (1,0)
     P = Presentation(PrimeField(3), 2, ((0, 0), (1, 0), (0, 0)),
-                     ((0, 0), (2, 2), (1, 1)),
-                     (((0, 1), (2, 2)), ((0, 2), (1, 2)), ((0, 1), (1, 1))))
-    assert _minimal(P) == (((F(1), F(0)), (F(0), F(0))), ((F(1), F(1)),),
-                           (((0, 1), (1, 1)),))
+                     ((3, 1), (0, 0), (2, 2), (1, 1)),
+                     (((1, 1),), ((0, 1), (2, 2)), ((0, 2), (1, 2)), ((0, 1), (1, 1))))
+    assert _minimal(P) == (((F(0), F(0)), (F(1), F(0))), ((F(1), F(1)), (F(3), F(1))),
+                           (((0, 1), (1, 1)), ((1, 1),)))
 
 
 def test_hilbert_examples(pres_f):

@@ -20,6 +20,7 @@ from mpm.matchdist import (_ModuleData, _box_bounds, _chart, _deviations,
                            label_deviation)
 from mpm.presentation import Presentation, labels
 
+from conftest import shuffled_label_distinct_pairs
 from oracles import box_sample_max_power
 
 F2 = PrimeField(2)
@@ -492,6 +493,11 @@ def test_only_full_range_boxes_straddle_a_seam(monkeypatch):
 
 def test_sampled_lower_bound_basics(h1_f, h1_g):
     assert sampled_lower_bound(h1_f, h1_g, 1, []) == 0
+    # 1-parameter inputs are refused before any line, so also with none
+    one = Presentation(F2, 1, ((0,),), (), ())
+    for pair in ((one, one), (one, h1_f), (h1_f, one)):
+        with pytest.raises(DataError, match="2-parameter"):
+            sampled_lower_bound(*pair, 1, [])
     assert sampled_lower_bound(h1_f, h1_f, 1,
                                [AdmissibleLine((1, 1), (0, 0))]) == 0
     line = AdmissibleLine((1, 1), (2, 0))
@@ -515,10 +521,24 @@ def test_approx_certificate_and_soundness(pres_f, pres_g):
 
 
 def test_approx_essential_mismatch_is_infinite():
+    # the root line already shows an unmatched essential bar: the first
+    # convergence test returns at once, at every p
     A = free_presentation([(0, 0)], F2)
     B = free_presentation([(0, 0), (0, 0)], F2)
-    rep = approx_matching_distance(A, B, 1, F(1, 10))
-    assert rep.lower == INF and rep.upper == INF
+    for p in (1, F(3, 2), math.inf):
+        rep = approx_matching_distance(A, B, p, F(1, 10))
+        assert rep.lower == INF and rep.upper == INF, p
+        assert (rep.lines_evaluated, rep.converged, rep.max_depth_seen) == (1, True, 0), p
+
+
+def test_approx_decides_a_shuffled_copy_at_the_root():
+    # minimal forms come in label order, so a presentation with distinct
+    # labels and a row- and column-shuffled copy of it have equal forms
+    for P, Q in shuffled_label_distinct_pairs(5, 3):
+        assert P != Q
+        for p in (1, math.inf):
+            rep = approx_matching_distance(P, Q, p, F(1, 10))
+            assert (rep.lower, rep.upper, rep.lines_evaluated) == (0, 0, 1), (P, p)
 
 
 def test_approx_empty_presentations():

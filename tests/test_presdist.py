@@ -9,9 +9,10 @@ from mpm import (ChainError, ComputationError, DataError, PairedPresentations,
                  approx_matching_distance, bounds, chain_upper_bound,
                  free_presentation, hilbert_dim, label_distance,
                  label_distance_power, pad_and_pair, presdist, rank_invariant)
-from mpm.fixtures import random_paired_presentations
+from mpm.fixtures import labels_for_matrix, random_matrix, random_paired_presentations
+from mpm.presentation import labels
 
-from conftest import q_free
+from conftest import q_free, shuffled_label_distinct_pairs
 
 F2 = PrimeField(2)
 
@@ -80,6 +81,84 @@ def test_pad_and_pair_incompatible_matrices():
         pad_and_pair(a, b)
     with pytest.raises(PairingError):
         pad_and_pair(a, Presentation(PrimeField(5), 2, ((0, 0),), ((1, 1),), (((0, 1),),)))
+
+
+def _label_order(R):
+    return (sorted(range(R.n_rows), key=lambda i: (R.row_labels[i], i)),
+            sorted(range(R.n_cols), key=lambda j: (R.col_labels[j], j)))
+
+
+def test_pad_and_pair_needs_the_refined_order(monkeypatch):
+    # Q is P with rows and columns rotated and relabelled so that neither
+    # the given order nor the label order lines the matrices up; the
+    # refinement colours (a column's count of entries, a row's) do
+    P = Presentation(F2, 2, ((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1)),
+                     (((0, 1),), ((0, 1), (1, 1)), ((0, 1), (1, 1), (2, 1))))
+    Q = P.permuted([2, 0, 1], [2, 0, 1]).with_labels(
+        ((0, 0), (0, 2), (0, 1)), ((3, 3),) * 3)
+    assert not P.permuted(*_label_order(P)).underlying_equal(Q.permuted(*_label_order(Q)))
+    assert label_distance(pad_and_pair(P, Q), 1) == 18
+    monkeypatch.setattr(presdist, "_wl_orders",
+                        lambda R: (list(range(R.n_rows)), list(range(R.n_cols))))
+    with pytest.raises(PairingError):
+        pad_and_pair(P, Q)
+
+
+def _same_shape_pairs(rng, n):
+    """Same-matrix, row- and column-shuffled, and unrelated same-shape
+    pairs, in turn; none has a side with a single label grade, which
+    _uniform_borrow would also pair."""
+    out = []
+    while len(out) < n:
+        field = PrimeField(rng.choice([2, 3]))
+        P, Q = random_paired_presentations(rng, max_rows=4, max_cols=4, field=field,
+                                           span=4)
+        kind = len(out) % 3
+        if kind == 1:
+            row_order, col_order = list(range(Q.n_rows)), list(range(Q.n_cols))
+            rng.shuffle(row_order)
+            rng.shuffle(col_order)
+            Q = Q.permuted(row_order, col_order)
+        elif kind == 2:
+            columns = random_matrix(rng, P.n_rows, P.n_cols, field)
+            rows, cols = labels_for_matrix(rng, columns, P.n_rows, 2, span=4)
+            Q = Presentation(field, 2, rows, cols, columns)
+        if all(len(set(labels(R))) > 1 for R in (P, Q)):
+            out.append((P, Q))
+    return out
+
+
+def test_pad_and_pair_is_the_best_of_its_orders():
+    # the pairing is the first p = 1 minimum over the given, label-sorted
+    # and refined orders; pad_and_pair leaves the label-sorted one out,
+    # as the refined one aligns the same labels whenever it aligns
+    rng = random.Random(29)
+    aligned = 0
+    for P, Q in _same_shape_pairs(rng, 450):
+        candidates = []
+        for orders in (lambda R: (range(R.n_rows), range(R.n_cols)), _label_order,
+                       presdist._wl_orders):
+            A, B = P.permuted(*orders(P)), Q.permuted(*orders(Q))
+            if A.underlying_equal(B):
+                candidates.append(PairedPresentations(A, B))
+        if not candidates:
+            with pytest.raises(PairingError):
+                pad_and_pair(P, Q)
+            continue
+        aligned += 1
+        best = min(candidates, key=lambda pp: label_distance(pp, 1))
+        pp = pad_and_pair(P, Q)
+        for p in (1, 2, math.inf):
+            assert label_distance(pp, p) == label_distance(best, p), (P, Q, p)
+    assert 300 < aligned < 450
+
+
+def test_chain_junction_accepts_a_shuffled_copy():
+    # distinct labels: the label-ordered minimal forms of P and of P with
+    # rows and columns shuffled are equal
+    for P, Q in shuffled_label_distinct_pairs(7, 4):
+        chain = [PairedPresentations(P, P), PairedPresentations(Q, Q)]
+        assert chain_upper_bound(chain, 1) == 0
 
 
 def test_chain_upper_bound_triangle_failure(triangle_m):
