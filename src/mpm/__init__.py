@@ -22,14 +22,12 @@ from .lines import (AdmissibleLine, LimitLine, barcode_along_line,
 from .matchdist import (DistanceReport, LineParam, ParamBox,
                         approx_matching_distance, label_deviation,
                         line_of_param, local_bound, sampled_lower_bound)
-from .onepar import NormalForm, barcode_of, reduce_to_normal_form
-from .presentation import (Presentation, free_presentation, hilbert_dim,
-                           labels, rank_invariant)
+from .onepar import barcode_of
+from .presentation import Presentation, free_presentation, hilbert_dim, labels
 from .presdist import (BoundsReport, PairedPresentations, bounds,
                        chain_upper_bound, label_distance,
                        label_distance_power, pad_and_pair)
-from .wasserstein import (Matching, WassersteinResult, matching_cost,
-                          matching_cost_power, wasserstein, wasserstein_full,
-                          wasserstein_power)
+from .wasserstein import (Matching, WassersteinResult, wasserstein,
+                          wasserstein_full)
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 Field elements are plain ints in [0, q); columns are dicts mapping row
 index to a nonzero residue.  :class:`ColumnEchelon` is the one
 elimination engine used for ranks, kernel bases (cellular) and the
-1-parameter pivot pairing behind barcodes and the graded normal form
-(onepar).  Its callers hand it columns and get back pivots and kernel
-vectors, the same way over every field.
+1-parameter pivot pairing behind barcodes (onepar).  Its callers hand
+it columns and get back pivots and kernel vectors, the same way over
+every field.
 
 Inside, the field alone picks how ColumnEchelon stores its columns.
 Over F_q with q > 2 a column is such a dict, and one reduction step

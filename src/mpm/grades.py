@@ -1,9 +1,9 @@
 """Exact rational grades, extended values and lp-norm helpers.
 
 Grades are tuples of ``fractions.Fraction`` (length 1 or 2).  Barcode
-endpoints extend the rationals with ``math.inf``; everywhere in this
-package the convention ``inf - inf = 0`` is applied through
-:func:`ext_abs_diff` instead of raw float arithmetic.
+endpoints extend the rationals with ``math.inf``.  The convention
+``inf - inf = 0`` needs no subtraction of infinities: wasserstein
+matches essential bars among themselves and compares only their births.
 
 Exponents p live in [1, inf].  A finite p is a ``Fraction`` (the norm
 helpers here also take an int); p = inf is ``math.inf``.  For integral
@@ -121,16 +121,6 @@ def pexp_integral(p: PExp) -> bool:
 
 # ---------------------------------------------------------------------------
 # extended arithmetic
-
-def ext_abs_diff(x: Extended, y: Extended) -> Extended:
-    """|x - y| on the extended line with the convention inf - inf = 0."""
-    xi, yi = is_inf(x), is_inf(y)
-    if xi and yi:
-        return Fraction(0)
-    if xi or yi:
-        return INF
-    return abs(x - y)
-
 
 def _int_nth_root(n: int, k: int) -> int:
     """The floor of the k-th root of n >= 0, by Newton iteration on integers."""

@@ -1,4 +1,4 @@
-"""One-parameter presentations: graded normal form and barcodes.
+"""One-parameter presentations: barcodes read off the pivot pairing.
 
 barcode_pairs reads the bars off the pivot pairing, for barcode_of,
 lines.barcode_along_line and the matching-distance search alike.
@@ -8,15 +8,10 @@ field.ColumnEchelon (_pivot_pairing): rows and columns are sorted by
 label (ties by index), columns are added left to right, and each is
 repeatedly reduced by the earlier column owning its nonzero row of
 largest index.  Every operation adds an earlier-labeled column to a later one,
-hence is admissible.  The normal form's cleanup that empties pivot rows
-above the pivots amounts to row operations row_i += a * row_p with i
-earlier than p in label order (admissible); at the time a pivot row is
-processed in decreasing order it is a singleton, so the net effect is
-dropping the non-pivot entries of the pivot columns.
+hence is admissible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .barcode import Barcode
@@ -32,15 +27,15 @@ def _pivot_pairing(row_order: Sequence[int], col_order: Sequence[int],
 
     The columns are added in col_order to a ColumnEchelon that ranks
     each row by its position in row_order, so a column's pivot is its
-    row latest in row_order.  Returns {row rank: (column rank, pivot
-    coefficient)} in pivot order.
+    row latest in row_order.  Returns {row rank: column rank} in pivot
+    order.
     """
     echelon = ColumnEchelon(field, {orig: rank for rank, orig in enumerate(row_order)})
     pivots = {}
     for rank, j in enumerate(col_order):
         kept = echelon.add(columns[j])
         if kept is not None:
-            pivots[kept[0]] = (rank, kept[1])
+            pivots[kept[0]] = rank
     return pivots
 
 
@@ -69,7 +64,7 @@ def barcode_pairs(row_values: Sequence, col_values: Sequence,
     pairing = None if memo is None else memo.get(key)
     if pairing is None:
         pivots = _pivot_pairing(row_order, col_order, columns, field)
-        pairing = ([(row_order[r], col_order[j]) for r, (j, _) in pivots.items()],
+        pairing = ([(row_order[r], col_order[j]) for r, j in pivots.items()],
                    [row_order[r] for r in range(len(row_order)) if r not in pivots])
         if memo is not None:
             memo[key] = pairing
@@ -77,35 +72,6 @@ def barcode_pairs(row_values: Sequence, col_values: Sequence,
     bars = [(b, d) for i, j in index_pairs
             if (b := row_values[i]) < (d := col_values[j])]
     return bars, [row_values[i] for i in essential]
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Graded normal form: at most one nonzero entry per row and column."""
-
-    presentation: Presentation          # reduced matrix, label-sorted bases
-    pivots: dict[int, int]              # column index -> row index (sorted order)
-    row_order: tuple[int, ...]          # sorted position -> original row index
-    col_order: tuple[int, ...]
-
-
-def reduce_to_normal_form(P: Presentation) -> NormalForm:
-    """Reduce a 1-parameter presentation by admissible operations only."""
-    if P.n_params != 1:
-        raise DataError("normal form reduction requires a 1-parameter presentation")
-    row_order = tuple(sorted(range(P.n_rows), key=P.row_labels.__getitem__))
-    col_order = tuple(sorted(range(P.n_cols), key=P.col_labels.__getitem__))
-    pivots = _pivot_pairing(row_order, col_order, P.column_dicts(), P.field)
-    # pivot rows are cleared above their pivot (admissible row additions)
-    columns = [()] * P.n_cols
-    for r, (j, v) in pivots.items():
-        columns[j] = ((r, v),)
-    pres = Presentation(
-        P.field, 1,
-        tuple(P.row_labels[i] for i in row_order),
-        tuple(P.col_labels[j] for j in col_order),
-        tuple(columns))
-    return NormalForm(pres, {j: r for r, (j, _) in pivots.items()}, row_order, col_order)
 
 
 def barcode_of(P: Presentation) -> Barcode:

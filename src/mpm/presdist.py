@@ -82,16 +82,16 @@ def _padded(P: Presentation, n_pairs: int, n_zero: int, label: Grade) -> Present
     return Presentation(P.field, P.n_params, rows, cols, tuple(columns))
 
 
-def _wl_orders(P: Presentation, rounds: int = 3):
-    """Row/column orders by (Weisfeiler-Leman colour of the entry graph,
-    label, index)."""
+def _wl_orders(P: Presentation):
+    """Row/column orders by (Weisfeiler-Leman colour of the entry graph
+    after three refinement rounds, label, index)."""
     row_entries: list[list[tuple[int, int]]] = [[] for _ in range(P.n_rows)]
     for j in range(P.n_cols):
         for r, v in P.columns[j]:
             row_entries[r].append((j, v))
     rc = [0] * P.n_rows
     cc = [0] * P.n_cols
-    for _ in range(rounds):
+    for _ in range(3):
         row_keys = [tuple(sorted((cc[j], v) for j, v in row_entries[i])) for i in range(P.n_rows)]
         col_keys = [tuple(sorted((rc[r], v) for r, v in P.columns[j])) for j in range(P.n_cols)]
         rc = _canonical(row_keys)

@@ -194,25 +194,3 @@ def hilbert_dim(P: Presentation, g: Grade) -> int:
     active = (col for col, lbl in zip(P.columns, P.col_labels)
               if grade_leq(lbl, g))
     return n_gens - column_rank(active, P.field)
-
-
-def rank_invariant(P: Presentation, s: Grade, t: Grade) -> int:
-    """Rank of the internal map of coker(P) from grade s to grade t.
-
-    Computed as rank([E_s | R_t]) - rank(R_t) where R_t collects the
-    relation columns with label <= t and E_s the identity columns of the
-    generators with label <= s.
-    """
-    s = _freeze_grade(s, P.n_params)
-    t = _freeze_grade(t, P.n_params)
-    if not grade_leq(s, t):
-        raise DataError(f"rank_invariant requires s <= t, got {show_grade(s)} and {show_grade(t)}")
-    ech = ColumnEchelon(P.field)
-    for col, lbl in zip(P.columns, P.col_labels):
-        if grade_leq(lbl, t):
-            ech.add(col)
-    rank_rt = ech.rank
-    for i in range(P.n_rows):
-        if grade_leq(P.row_labels[i], s):
-            ech.add({i: 1})
-    return ech.rank - rank_rt

@@ -5,9 +5,7 @@ the lp-distance to their diagonal projection m(a).  The convention
 inf - inf = 0 makes a matched pair of essential bars cost only the birth
 difference, while an unmatched essential bar (or an essential bar
 matched to a finite one) costs inf.  cost(sigma, p) is the lp-norm of
-the flat list of these terms' coordinate differences (_cost_terms), so
-matching_cost is grades.vec_pnorm of that list and matching_cost_power
-its vec_pnorm_power.
+the flat list of these terms' coordinate differences.
 
 Essential bars therefore pre-partition: they are matched among
 themselves, and on a line the sorted pairing is optimal for every
@@ -42,9 +40,9 @@ wasserstein_full scales every endpoint by 2L, with L the least common
 denominator of the two barcodes, and matchdist.sampled_lower_bound
 keeps the bars on the int scale of the pushes along each line.  The
 matching-distance search runs bar_distance on floats.  Every caller
-turns the aggregate into the distance with grades.lp_root.  Each
-``*_power`` function and WassersteinResult.power is that aggregate,
-the quantity lp_root roots, at every p in [1, inf].
+turns the aggregate into the distance with grades.lp_root.
+WassersteinResult.power is that aggregate, the quantity lp_root roots,
+at every p in [1, inf].
 """
 from __future__ import annotations
 
@@ -57,8 +55,8 @@ from typing import Sequence
 
 from .barcode import Barcode
 from .errors import ComputationError, DataError
-from .grades import (INF, Extended, PExp, as_pexp, ext_abs_diff, is_inf,
-                     lp_root, pexp_integral, vec_pnorm, vec_pnorm_power)
+from .grades import (INF, Extended, PExp, as_pexp, is_inf, lp_root,
+                     pexp_integral)
 
 
 @dataclass(frozen=True)
@@ -83,40 +81,6 @@ class WassersteinResult:
     # minimal max cost at p = inf, inf for an infinite distance
     power: Extended
     matching: Matching
-
-
-# ---------------------------------------------------------------------------
-# the cost of a matching
-
-def _cost_terms(B: Barcode, C: Barcode, sigma: Matching) -> list:
-    """The coordinate differences whose lp-norm is cost(sigma, p).
-
-    A matched pair gives |birth difference| and |death difference|, with
-    inf - inf = 0; an unmatched bar gives h twice, where h is its
-    l-inf distance to the diagonal (inf for an essential bar).
-    """
-    for i, j in sigma.pairs:
-        if not (0 <= i < len(B) and 0 <= j < len(C)):
-            raise DataError(f"matching pair ({i}, {j}) out of range")
-    terms = [d for i, j in sigma.pairs
-             for d in (abs(B[i][0] - C[j][0]), ext_abs_diff(B[i][1], C[j][1]))]
-    for bars, matched in ((B, {i for i, _ in sigma.pairs}),
-                          (C, {j for _, j in sigma.pairs})):
-        for k, (birth, death) in enumerate(bars):
-            if k not in matched:
-                h = INF if is_inf(death) else (death - birth) / 2
-                terms += (h, h)
-    return terms
-
-
-def matching_cost_power(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
-    """The aggregate of cost(sigma, p), which lp_root turns into it."""
-    return vec_pnorm_power(_cost_terms(B, C, sigma), as_pexp(p))
-
-
-def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
-    """cost(sigma, p): lp-aggregated matched and diagonal terms."""
-    return vec_pnorm(_cost_terms(B, C, sigma), as_pexp(p))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +526,3 @@ def wasserstein_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:
 def wasserstein(B: Barcode, C: Barcode, p: PExp) -> Extended:
     """p-Wasserstein distance; exact Fraction for p in {1, inf}."""
     return wasserstein_full(B, C, p).value
-
-
-def wasserstein_power(B: Barcode, C: Barcode, p: PExp) -> Extended:
-    """The aggregate of the p-Wasserstein distance, which lp_root roots."""
-    return wasserstein_full(B, C, p).power

@@ -3,22 +3,24 @@
 Everything here is deliberately naive: dense row reduction over F_q,
 dense nullspace dimensions, a dict column echelon over every F_q (the
 reference that field.ColumnEchelon must match step for step, on the
-F_2 bitsets too), brute-force sampling of line charts in
-scaled integer arithmetic, and an exhaustive search over all matchings
-of two barcodes.  None of it shares code with the package's
+F_2 bitsets too) and the rank invariant it computes, brute-force
+sampling of line charts in scaled integer arithmetic, cost(sigma, p)
+of a given matching, and an exhaustive search over all matchings of
+two barcodes.  None of it shares code with the package's
 sparse/echelon machinery or its assignment solvers, and it imports no
 private name of the package; the matching search prices each matched
-or diagonal term with the public matching_cost_power on one-bar
-barcodes, and roots the best aggregate with grades.lp_root.
+or diagonal term with matching_cost_power on one-bar barcodes, and
+roots the best aggregate with grades.lp_root.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from mpm import (INF, Barcode, DataError, Extended, Matching, PExp, Presentation,
-                 WassersteinResult, as_pexp, grade_leq, labels, matching_cost_power)
-from mpm.grades import is_inf, lp_root
+from mpm import (INF, Barcode, DataError, Extended, Grade, Matching, PExp,
+                 Presentation, WassersteinResult, as_pexp, grade_leq, labels,
+                 vec_pnorm, vec_pnorm_power)
+from mpm.grades import as_grade, is_inf, lp_root, show_grade
 from mpm.matchdist import ParamBox
 
 
@@ -136,6 +138,30 @@ class ReferenceEchelon:
         self.entries = dict(list(self.entries.items())[:n])
 
 
+def rank_invariant(P: Presentation, s: Grade, t: Grade) -> int:
+    """Rank of the internal map of coker(P) from grade s to grade t.
+
+    Computed as rank([E_s | R_t]) - rank(R_t) where R_t collects the
+    relation columns with label <= t and E_s the identity columns of the
+    generators with label <= s.
+    """
+    s, t = as_grade(s), as_grade(t)
+    for g in (s, t):
+        if len(g) != P.n_params:
+            raise DataError(f"grade {g} does not have {P.n_params} coordinates")
+    if not grade_leq(s, t):
+        raise DataError(f"rank_invariant requires s <= t, got {show_grade(s)} and {show_grade(t)}")
+    ech = ReferenceEchelon(P.field.q)
+    for col, lbl in zip(P.columns, P.col_labels):
+        if grade_leq(lbl, t):
+            ech.insert(col)
+    rank_rt = ech.rank
+    for i in range(P.n_rows):
+        if grade_leq(P.row_labels[i], s):
+            ech.insert({i: 1})
+    return ech.rank - rank_rt
+
+
 # ---------------------------------------------------------------------------
 # dense sampling of push deviations over a parameter box
 
@@ -219,6 +245,50 @@ def label_grid(P: Presentation, Q: Presentation, per_axis: int = 6):
 
     rec(0, [])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the cost of a matching, and the exhaustive search over matchings
+
+def ext_abs_diff(x: Extended, y: Extended) -> Extended:
+    """|x - y| on the extended line with the convention inf - inf = 0."""
+    xi, yi = is_inf(x), is_inf(y)
+    if xi and yi:
+        return Fraction(0)
+    if xi or yi:
+        return INF
+    return abs(x - y)
+
+
+def _cost_terms(B: Barcode, C: Barcode, sigma: Matching) -> list:
+    """The coordinate differences whose lp-norm is cost(sigma, p).
+
+    A matched pair gives |birth difference| and |death difference|, with
+    inf - inf = 0; an unmatched bar gives h twice, where h is its
+    l-inf distance to the diagonal (inf for an essential bar).
+    """
+    for i, j in sigma.pairs:
+        if not (0 <= i < len(B) and 0 <= j < len(C)):
+            raise DataError(f"matching pair ({i}, {j}) out of range")
+    terms = [d for i, j in sigma.pairs
+             for d in (abs(B[i][0] - C[j][0]), ext_abs_diff(B[i][1], C[j][1]))]
+    for bars, matched in ((B, {i for i, _ in sigma.pairs}),
+                          (C, {j for _, j in sigma.pairs})):
+        for k, (birth, death) in enumerate(bars):
+            if k not in matched:
+                h = INF if is_inf(death) else (death - birth) / 2
+                terms += (h, h)
+    return terms
+
+
+def matching_cost_power(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
+    """The aggregate of cost(sigma, p), which lp_root turns into it."""
+    return vec_pnorm_power(_cost_terms(B, C, sigma), as_pexp(p))
+
+
+def matching_cost(B: Barcode, C: Barcode, sigma: Matching, p: PExp) -> Extended:
+    """cost(sigma, p): lp-aggregated matched and diagonal terms."""
+    return vec_pnorm(_cost_terms(B, C, sigma), as_pexp(p))
 
 
 def brute_force_full(B: Barcode, C: Barcode, p: PExp) -> WassersteinResult:

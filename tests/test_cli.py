@@ -209,6 +209,19 @@ def test_hilbert_grade_of_the_wrong_length_is_a_data_error(files, capsys):
     assert "grade '1,2,3' does not have 2 coordinates" in captured.err
 
 
+def test_barcode_line_must_match_the_parameter_count(files, tmp_path, capsys):
+    one = tmp_path / "one.fpm"
+    one.write_text("fpm 1\nfield 2\nparams 1\nrows 1\n0\ncols 0\n")
+    for argv, message in ((["barcode", files["f.fpm"]],
+                           "a 2-parameter module needs --line"),
+                          (["barcode", "--line", "1,1;0,0", str(one)],
+                           "--line applies only to 2-parameter modules")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {message}\n"
+
+
 def test_infinite_distances_print(tmp_path, capsys):
     # free modules of ranks 1 and 2: an essential bar is left unmatched
     # on every line, and no pairing aligns a unit matrix with a zero one

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from mpm import (Barcode, DataError, INF, PrimeField, Presentation,
-                 barcode_of, labels, rank_invariant,
-                 reduce_to_normal_form, wasserstein, wasserstein_power)
+                 barcode_of, labels, wasserstein, wasserstein_full)
 from mpm.fixtures import (random_matrix, random_paired_presentations,
                           random_presentation)
 from mpm.grades import vec_pnorm, vec_pnorm_power
 from mpm.onepar import barcode_pairs
+
+from oracles import rank_invariant
 
 F2 = PrimeField(2)
 
@@ -22,59 +23,13 @@ def pres1(rows, cols, columns, q=2):
                         tuple(tuple(sorted(col.items())) for col in columns))
 
 
-def test_reduce_basic_pivot_and_zero_row():
-    P = pres1([0, 0], [2], [{0: 1, 1: 1}])
-    nf = reduce_to_normal_form(P)
-    assert len(nf.pivots) == 1
-    [(j, r)] = nf.pivots.items()
-    assert nf.presentation.columns[j] == ((r, 1),)
-    per_row = [0] * nf.presentation.n_rows
-    for col in nf.presentation.columns:
-        for rr, _ in col:
-            per_row[rr] += 1
-    assert max(per_row) <= 1 and all(len(col) <= 1 for col in nf.presentation.columns)
+def test_barcode_of_empty():
+    assert barcode_of(pres1([], [], [])) == Barcode()
 
 
-def test_reduce_diagonal_is_fixed_point():
-    P = pres1([0, 1], [2, 3], [{0: 1}, {1: 1}])
-    nf = reduce_to_normal_form(P)
-    assert nf.presentation == P
-    assert nf.pivots == {0: 0, 1: 1}
-
-
-def test_reduce_empty():
-    P = pres1([], [], [])
-    nf = reduce_to_normal_form(P)
-    assert nf.presentation.n_rows == 0 and nf.presentation.n_cols == 0
-    assert barcode_of(P) == Barcode()
-
-
-def test_reduce_requires_one_parameter(pres_f):
-    with pytest.raises(DataError):
-        reduce_to_normal_form(pres_f)
-
-
-def test_normal_form_over_f3_and_f5():
-    # odd fields have non-unit pivots, which the normal form must keep
-    rng = random.Random(59)
-    non_unit = 0
-    for q in (3, 5):
-        for _ in range(40):
-            P = random_presentation(rng, n_params=1, max_rows=6, max_cols=6,
-                                    field=PrimeField(q))
-            nf = reduce_to_normal_form(P)
-            R = nf.presentation
-            entries = [(r, j, v) for j, col in enumerate(R.columns) for r, v in col]
-            assert all(len(col) <= 1 for col in R.columns)
-            assert len({r for r, _, _ in entries}) == len(entries)
-            assert nf.pivots == {j: r for r, j, _ in entries}
-            non_unit += sum(1 for _, _, v in entries if v != 1)
-            bars = [(R.row_labels[r][0], R.col_labels[j][0]) for r, j, _ in entries]
-            bars = [(b, d) for b, d in bars if b != d]
-            bars += [(R.row_labels[r][0], INF) for r in range(R.n_rows)
-                     if r not in nf.pivots.values()]
-            assert Barcode(bars) == barcode_of(P)
-    assert non_unit > 0
+def test_barcode_of_requires_one_parameter(pres_f):
+    with pytest.raises(DataError, match="barcodes require a 1-parameter presentation"):
+        barcode_of(pres_f)
 
 
 def test_barcode_examples():
@@ -128,16 +83,33 @@ def test_barcode_invariant_under_admissible_ops():
         assert barcode_of(P) == barcode_of(Q)
 
 
+def _assert_barcode_counts_rank_invariant(rng, P: Presentation) -> None:
+    bars = barcode_of(P)
+    for _ in range(6):
+        s = F(rng.randrange(0, 10))
+        t = s + rng.randrange(0, 6)
+        counted = sum(1 for b, d in bars if b <= s and t < d)
+        assert counted == rank_invariant(P, (s,), (t,))
+
+
 def test_barcode_agrees_with_rank_invariant():
     rng = random.Random(43)
     for _ in range(30):
         P = random_presentation(rng, n_params=1, max_rows=5, max_cols=5)
-        bars = barcode_of(P)
-        for _ in range(6):
-            s = F(rng.randrange(0, 10))
-            t = s + rng.randrange(0, 6)
-            counted = sum(1 for b, d in bars if b <= s and t < d)
-            assert counted == rank_invariant(P, (s,), (t,))
+        _assert_barcode_counts_rank_invariant(rng, P)
+
+
+def test_normal_form_over_f3_and_f5():
+    # odd fields have non-unit pivots, which the reduction must handle
+    rng = random.Random(59)
+    non_unit = 0
+    for q in (3, 5):
+        for _ in range(40):
+            P = random_presentation(rng, n_params=1, max_rows=6, max_cols=6,
+                                    field=PrimeField(q))
+            non_unit += sum(1 for col in P.columns for _, v in col if v != 1)
+            _assert_barcode_counts_rank_invariant(rng, P)
+    assert non_unit > 0
 
 
 def test_wasserstein_bounded_by_label_distance():
@@ -147,7 +119,7 @@ def test_wasserstein_bounded_by_label_distance():
         bp, bq = barcode_of(P), barcode_of(Q)
         deltas = [a[0] - b[0] for a, b in zip(labels(P), labels(Q))]
         for p in (F(1), F(2)):
-            assert wasserstein_power(bp, bq, p) <= vec_pnorm_power(deltas, p)
+            assert wasserstein_full(bp, bq, p).power <= vec_pnorm_power(deltas, p)
         assert wasserstein(bp, bq, math.inf) <= vec_pnorm(deltas, math.inf)
 
 

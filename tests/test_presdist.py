@@ -8,11 +8,12 @@ from mpm import (ChainError, ComputationError, DataError, PairedPresentations,
                  PairingError, Presentation, PrimeField, SubdivisionLimitError,
                  approx_matching_distance, bounds, chain_upper_bound,
                  free_presentation, hilbert_dim, label_distance,
-                 label_distance_power, pad_and_pair, presdist, rank_invariant)
+                 label_distance_power, pad_and_pair, presdist)
 from mpm.fixtures import labels_for_matrix, random_matrix, random_paired_presentations
 from mpm.presentation import labels
 
 from conftest import q_free, shuffled_label_distinct_pairs
+from oracles import rank_invariant
 
 F2 = PrimeField(2)
 
@@ -51,6 +52,23 @@ def test_paired_presentations_require_same_parameter_count():
     for first, second in ((one, two), (two, one)):
         with pytest.raises(DataError, match="parameter count"):
             PairedPresentations(first, second)
+
+
+def test_presdist_refusals_and_the_pairing_of_empty_presentations():
+    # the refusals no other test reaches, each with its message; and two
+    # presentations with no labels, which have no label to pad with
+    one, two = free_presentation([(0,)], F2), q_free(0, 0)
+    for call, error, message in (
+            (lambda: PairedPresentations(two, free_presentation([(0, 0)], PrimeField(3))),
+             DataError, "paired presentations must share the coefficient field"),
+            (lambda: pad_and_pair(one, two),
+             PairingError, "presentations have different parameter counts")):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+    empty = free_presentation([], F2, n_params=2)
+    pp = pad_and_pair(empty, empty)
+    assert pp == PairedPresentations(empty, empty)
+    assert label_distance(pp, 1) == 0
 
 
 def test_pad_and_pair_free_modules():
